@@ -70,17 +70,20 @@ class CrossAlgebra:
         return out
 
     def to_json(self):
-        def fr(x):
-            f = Fraction(x)
-            return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
         return json.dumps({
             "case": self.case.value,
             "dim": self.dim,
             "parity": list(self.parity),
-            "gram": [[fr(v) for v in row] for row in self.gram],
-            "cross": [[[fr(v) for v in col] for col in row] for row in self.cross],
+            "gram": [[format_fraction(v) for v in row] for row in self.gram],
+            "cross": [[[format_fraction(v) for v in col] for col in row]
+                      for row in self.cross],
         }, indent=None)
+
+
+def format_fraction(x):
+    """Exact text of a rational: "n/d", or "n" when it is an integer."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _freeze(mat):

@@ -10,7 +10,7 @@ least six sides.
 from __future__ import annotations
 
 from .algebra import CaseTag
-from .planar import BOT, TOP, VERT, PlanarDiagram, PlanarError
+from .planar import TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop
 
 
 class BudgetError(ValueError):
@@ -77,17 +77,13 @@ class NormalizedTangle:
         return f"NormalizedTangle({self.n_in}->{self.n_out}, blocks={self.blocks})"
 
 
-def circle_refs(n, m):
-    """Boundary references in circle order 1..n, m'..1'."""
-    return [(TOP, i) for i in range(n)] + [(BOT, j) for j in range(m - 1, -1, -1)]
-
-
 def build_normalized(n, m, blocks) -> PlanarDiagram:
     """Realize a noncrossing partition as left-comb trees in the disk.
 
     Blocks are tuples of circle positions; position p maps to a boundary
-    point through circle_refs(n, m).  Raises PlanarError if the partition
-    crosses.
+    point through circle_refs(n, m).  Each block is chained in the order
+    given: its first point meets the first vertex, its last point the last
+    vertex's outgoing leg.  Raises PlanarError if the partition crosses.
     """
     refs = circle_refs(n, m)
     d = PlanarDiagram(n, m)
@@ -100,8 +96,7 @@ def build_normalized(n, m, blocks) -> PlanarDiagram:
             d.set_bot(ref[1], h)
         bnd[p] = h
 
-    for block in blocks:
-        pts = sorted(block)
+    for pts in blocks:
         if len(pts) < 2:
             raise ValueError("blocks must have at least two points")
         if len(pts) == 2:
@@ -126,6 +121,7 @@ def build_normalized(n, m, blocks) -> PlanarDiagram:
 
 def enumerate_catalan(n: int, m: int):
     """All normalized tangles [n] -> [m]; count equals riordan(n+m)."""
+    _check_arities(n, m)
     k = n + m
     out = []
     for blocks in noncrossing_partitions_min2(k):
@@ -135,6 +131,20 @@ def enumerate_catalan(n: int, m: int):
     out.sort(key=lambda t: t.diagram.canonical_encoding())
     assert len(out) == riordan(k), (len(out), riordan(k))
     return out
+
+
+def _check_arities(n, m):
+    if n < 0 or m < 0:
+        raise ValueError(f"arities must be non-negative, got [{n}] -> [{m}]")
+
+
+def basis_diagrams(case: CaseTag, n: int, m: int):
+    """The case's basis diagrams [n] -> [m], ordered by canonical encoding:
+    non-elliptic webs for dim7 (boundary budget at least 7), otherwise the
+    left-comb Catalan partitions."""
+    if CaseTag(case) is CaseTag.DIM7:
+        return enumerate_webs(n, m, budget=max(7, n + m))
+    return [t.diagram for t in enumerate_catalan(n, m)]
 
 
 # ------------------------------------------------------------------ webs
@@ -166,6 +176,7 @@ def enumerate_webs(n: int, m: int, budget: int = 7, max_vertices=None):
     prunes the branch, which is also what bounds the vertex count in
     practice; max_vertices is a hard stop on top of that.
     """
+    _check_arities(n, m)
     k = n + m
     if k > budget:
         raise BudgetError(f"boundary size {k} exceeds budget {budget}")
@@ -243,7 +254,7 @@ def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
     if d.loops:
         return False
     if case is CaseTag.DIM7:
-        if _has_self_loop(d):
+        if find_self_loop(d) is not None:
             return False
         return all(len(f) >= 6 for f in d.internal_faces())
     # 3-dimensional cases: disjoint union of canonical left-comb trees
@@ -262,10 +273,3 @@ def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
         return False
     return want.canonical_encoding() == d.canonical_encoding()
 
-
-def _has_self_loop(d):
-    for h, p in d.pairing.items():
-        lh, lp = d.loc[h], d.loc[p]
-        if lh[0] == VERT and lp[0] == VERT and lh[1] == lp[1]:
-            return True
-    return False

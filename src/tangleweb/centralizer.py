@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CaseTag, CrossAlgebra
-from .basis import enumerate_catalan, enumerate_webs
+from .algebra import CaseTag, CrossAlgebra, format_fraction
+from .basis import BudgetError, basis_diagrams
 from .linalg import sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import planar_to_word
@@ -17,15 +17,9 @@ from .tangle import Generator, TangleWord, compose_tangles
 from .tensor import compose, zero_map
 
 
-class BudgetError(ValueError):
-    pass
-
-
 def centralizer_basis(alg: CrossAlgebra, n: int):
     """Basis diagrams of End(V^(x)n), ordered by canonical encoding."""
-    if alg.case is CaseTag.DIM7:
-        return enumerate_webs(n, n, budget=max(7, 2 * n))
-    return [t.diagram for t in enumerate_catalan(n, n)]
+    return basis_diagrams(alg.case, n, n)
 
 
 class StructureTable:
@@ -78,15 +72,13 @@ class StructureTable:
         return True
 
     def to_json_obj(self):
-        def fr(f):
-            return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
         return {
             "case": self.case.value,
             "n": self.n,
             "basis_size": len(self.basis),
             "basis": [d.canonical_encoding().decode() for d in self.basis],
-            "products": [{"i": i, "j": j, "coeffs": {str(k): fr(c) for k, c in row.items()}}
+            "products": [{"i": i, "j": j,
+                          "coeffs": {str(k): format_fraction(c) for k, c in row.items()}}
                          for (i, j), row in sorted(self.table.items())],
         }
 

@@ -10,23 +10,17 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import (CaseTag, build, cayley_hamilton_check, check_axioms,
-                      skew_symmetrization_check)
-from .basis import enumerate_catalan, enumerate_webs, riordan
+                      format_fraction, skew_symmetrization_check)
+from .basis import BudgetError, enumerate_catalan, enumerate_webs, riordan
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
-from .oracle import (check_closed_under_bracket, check_kills_form, derivations,
-                     invariant_dim)
+from .oracle import (DIM_LIMITS, check_closed_under_bracket, check_kills_form,
+                     derivations, invariant_dim)
 from .rewrite import RewriteTrace, eval_diagram, normalize, rules_for
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
-
-
-def _fr(f):
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _load_word(path):
@@ -35,7 +29,22 @@ def _load_word(path):
 
 
 def _budget():
-    return int(os.environ.get("TANGLEWEB_BUDGET", "7"))
+    raw = os.environ.get("TANGLEWEB_BUDGET", "7")
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetError(f"TANGLEWEB_BUDGET must be an integer, not {raw!r}") from None
+
+
+def _arity(text):
+    """argparse type for strand counts: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
 
 
 def cmd_eval(args):
@@ -44,9 +53,9 @@ def cmd_eval(args):
     t = evaluate(word, alg)
     if t.n_in == 0 and t.n_out == 0:
         if args.json:
-            print(json.dumps({"scalar": _fr(t.scalar_value())}))
+            print(json.dumps({"scalar": format_fraction(t.scalar_value())}))
         else:
-            print(_fr(t.scalar_value()))
+            print(format_fraction(t.scalar_value()))
         return 0
     obj = t.to_json_obj()
     print(json.dumps(obj) if args.json else json.dumps(obj, indent=2))
@@ -58,7 +67,7 @@ def cmd_normalize(args):
     word = _load_word(args.word_file)
     trace = RewriteTrace(alg.case) if args.trace else None
     out = normalize(word, alg, strategy=args.strategy, trace=trace)
-    terms = [{"diagram": d.canonical_encoding().decode(), "coeff": _fr(c)}
+    terms = [{"diagram": d.canonical_encoding().decode(), "coeff": format_fraction(c)}
              for d, c in sorted(out, key=lambda t: t[0].canonical_encoding())]
     payload = {"case": alg.case.value, "terms": terms}
     if trace is not None:
@@ -95,7 +104,7 @@ def cmd_dims(args):
             row["webs"] = len(enumerate_webs(n, 0, budget=max(_budget(), n)))
         else:
             row["riordan"] = riordan(n)
-        if alg.dim ** n <= (120000 if args.mode == "modp" else 20000):
+        if alg.dim ** n <= DIM_LIMITS[args.mode]:
             row["invariant_dim"] = invariant_dim(alg, n, mode=args.mode,
                                                  seed=args.seed, der=der)
         rows.append(row)
@@ -122,7 +131,7 @@ def cmd_oracle(args):
     der = derivations(alg)
     rows = []
     for n in range(args.nmax + 1):
-        if alg.dim ** n > (120000 if args.mode == "modp" else 20000):
+        if alg.dim ** n > DIM_LIMITS[args.mode]:
             break
         rows.append({"n": n, "invariant_dim":
                      invariant_dim(alg, n, mode=args.mode, seed=args.seed, der=der)})
@@ -199,23 +208,23 @@ def main(argv=None):
 
     p = sub.add_parser("basis", help="enumerate basis diagrams [n] -> [m]")
     add_case(p)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_arity)
+    p.add_argument("m", type=_arity)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("dims", help="diagram counts vs oracle dimensions")
     add_case(p)
-    p.add_argument("nmax", type=int)
+    p.add_argument("nmax", type=_arity)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("centralizer", help="structure constants of End(V^n)")
     add_case(p)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_arity)
     p.set_defaults(fn=cmd_centralizer)
 
     p = sub.add_parser("oracle", help="derivation algebra and invariant dims")
     add_case(p)
-    p.add_argument("nmax", type=int)
+    p.add_argument("nmax", type=_arity)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="run the per-case check suite")
@@ -225,7 +234,7 @@ def main(argv=None):
     args = top.parse_args(argv)   # argparse exits with code 2 on usage errors
     try:
         return args.fn(args)
-    except (WordError, FileNotFoundError) as exc:
+    except (WordError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

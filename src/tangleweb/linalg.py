@@ -1,7 +1,9 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Rows are dicts mapping column index -> nonzero scalar.  Everything here is
-elimination-based; no floating point anywhere.
+Sparse rows are dicts mapping column index -> nonzero scalar; the small
+dense systems (solves, inverses, nullspaces) share one reduced row echelon
+routine, rref.  Everything here is elimination-based; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -140,12 +142,56 @@ def _reduce_row(row, pivots, mod):
         row = new
 
 
+def rref(rows, ncols):
+    """Dense rational reduced row echelon form over the first ncols columns.
+
+    Returns (mat, pivots): mat holds every row, Fractions throughout, the
+    first len(pivots) of them reduced with a leading 1 in the listed pivot
+    column; the rows after them are zero in the first ncols columns (any
+    further columns, such as an augmented right-hand side, are carried along).
+    """
+    mat = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of the rational nullspace of a dense system, one vector per
+    non-pivot column."""
+    mat, pivots = rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -mat[r][fc]
+        basis.append(v)
+    return basis
+
+
 def solve_exact(columns, target):
     """Solve sum_i x_i * columns[i] = target exactly over Q.
 
     columns and target are sparse dicts key -> Fraction over an arbitrary
-    (hashable) key space.  Raises ValueError if the system is inconsistent;
-    if the solution is not unique, returns one solution (free vars at 0).
+    (hashable) key space.  Built on rref, which pivots the columns in the
+    order given, so of any dependent columns the later ones are the free
+    variables.  Raises ValueError if the system is inconsistent; if the
+    solution is not unique, returns one solution (free vars at 0).
     """
     keys = set(target)
     for c in columns:
@@ -153,41 +199,15 @@ def solve_exact(columns, target):
     keys = sorted(keys)
     m = len(columns)
     # dense augmented rows over the occupied key set; these systems are tiny
-    rows = []
-    for k in keys:
-        row = [Fraction(c.get(k, 0)) for c in columns]
-        row.append(Fraction(target.get(k, 0)))
-        rows.append(row)
-
-    pivot_of_col = [-1] * m
-    rpos = 0
-    for col in range(m):
-        piv = None
-        for i in range(rpos, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rpos], rows[piv] = rows[piv], rows[rpos]
-        pr = rows[rpos]
-        inv = pr[col]
-        rows[rpos] = pr = [v / inv for v in pr]
-        for i in range(len(rows)):
-            if i != rpos and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivot_of_col[col] = rpos
-        rpos += 1
-
-    for i in range(rpos, len(rows)):
-        if rows[i][m] != 0:
+    mat, pivots = rref([[c.get(k, 0) for c in columns] + [target.get(k, 0)]
+                        for k in keys], m)
+    for row in mat[len(pivots):]:
+        if row[m] != 0:
             raise ValueError("inconsistent linear system")
 
     x = [Fraction(0)] * m
-    for col in range(m):
-        if pivot_of_col[col] >= 0:
-            x[col] = rows[pivot_of_col[col]][m]
+    for r, col in enumerate(pivots):
+        x[col] = mat[r][m]
     # verify: inconsistency can hide when free columns interact
     for k in keys:
         acc = Fraction(0)
@@ -202,17 +222,8 @@ def solve_exact(columns, target):
 def invert_matrix(mat):
     """Exact inverse of a small dense rational matrix (list of lists)."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    aug, pivots = rref([list(mat[i]) + [int(i == j) for j in range(n)]
+                        for i in range(n)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .algebra import CaseTag, CrossAlgebra
-from .linalg import sparse_rank
+from .basis import BudgetError
+from .linalg import nullspace, sparse_rank
 from .tensor import TensorMap, compose
 
-
-class BudgetError(ValueError):
-    pass
+# largest dim^n whose invariant dimension each rank mode computes
+DIM_LIMITS = {"exact": 20000, "modp": 120000}
 
 
 class DerivationAlgebra:
@@ -39,41 +40,6 @@ class DerivationAlgebra:
 
     def odd_dim(self):
         return sum(1 for p in self.parities if p == 1)
-
-
-def _rref(rows, ncols):
-    """Dense rational reduced row echelon form; returns (rref rows, pivots)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-def _nullspace(rows, ncols):
-    """Basis of the rational nullspace of a dense system."""
-    rref, pivots = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
 
 
 def derivations(alg: CrossAlgebra) -> DerivationAlgebra:
@@ -111,7 +77,7 @@ def derivations(alg: CrossAlgebra) -> DerivationAlgebra:
                                 row[idx[(a, j)]] -= sgn * c
                     if any(row):
                         rows.append(row)
-        for v in _nullspace(rows, len(slots)):
+        for v in nullspace(rows, len(slots)):
             mat = [[Fraction(0)] * d for _ in range(d)]
             for t, (a, b) in enumerate(slots):
                 mat[a][b] = v[t]
@@ -215,39 +181,10 @@ def _lie_generators(der: DerivationAlgebra):
 _GEN_CACHE = {}
 
 
-def action_matrix(der: DerivationAlgebra, which: int, n: int):
-    """Sparse action of derivation basis element `which` on V^(x)n, as a
-    TensorMap (Koszul-signed for the supercase)."""
-    alg = der.alg
-    D = der.mats[which]
-    dp = der.parities[which]
-    par = alg.parity
-    d = alg.dim
-    cols = {b: [(a, D[a][b]) for a in range(d) if D[a][b]] for b in range(d)}
-    entries = {}
-    idx = [()]
-    for _ in range(n):
-        idx = [t + (i,) for t in idx for i in range(d)]
-    for alpha in idx:
-        for k in range(n):
-            for a, c in cols[alpha[k]]:
-                beta = alpha[:k] + (a,) + alpha[k + 1:]
-                s = c
-                if dp:
-                    pre = sum(par[alpha[t]] for t in range(k)) & 1
-                    if pre:
-                        s = -s
-                key = (beta, alpha)
-                v = entries.get(key, Fraction(0)) + s
-                if v:
-                    entries[key] = v
-                elif key in entries:
-                    del entries[key]
-    return TensorMap(alg, n, n, entries)
-
-
 def _action_rows(der, which, n):
-    """Rows of the action for rank computations: one row per input index."""
+    """Koszul-signed action of derivation basis element `which` on V^(x)n:
+    yields (alpha, {flat beta: coeff}) for each input index alpha in
+    lexicographic order, flat beta being beta's position in that order."""
     alg = der.alg
     D = der.mats[which]
     dp = der.parities[which]
@@ -255,10 +192,7 @@ def _action_rows(der, which, n):
     d = alg.dim
     cols = {b: [(a, D[a][b]) for a in range(d) if D[a][b]] for b in range(d)}
     powers = [d ** i for i in range(n)][::-1]
-    idx = [()]
-    for _ in range(n):
-        idx = [t + (i,) for t in idx for i in range(d)]
-    for alpha in idx:
+    for alpha in product(range(d), repeat=n):
         row = {}
         for k in range(n):
             for a, c in cols[alpha[k]]:
@@ -273,18 +207,27 @@ def _action_rows(der, which, n):
                     row[flat] = v
                 elif flat in row:
                     del row[flat]
-        if row:
-            yield row
+        yield alpha, row
+
+
+def action_matrix(der: DerivationAlgebra, which: int, n: int):
+    """Sparse action of derivation basis element `which` on V^(x)n, as a
+    TensorMap (Koszul-signed for the supercase)."""
+    idx = list(product(range(der.alg.dim), repeat=n))
+    entries = {(idx[flat], alpha): c
+               for alpha, row in _action_rows(der, which, n)
+               for flat, c in row.items()}
+    return TensorMap(der.alg, n, n, entries)
 
 
 def invariant_dim(alg: CrossAlgebra, n: int, mode="exact", seed=0,
                   der: DerivationAlgebra | None = None) -> int:
     """Dimension of the invariants of V^(x)n under the derivation algebra."""
     d = alg.dim
-    if mode == "exact" and d ** n > 20000:
-        raise BudgetError(f"dim^n = {d**n} too large for exact mode")
-    if mode == "modp" and d ** n > 120000:
-        raise BudgetError(f"dim^n = {d**n} too large for modp mode")
+    if mode not in DIM_LIMITS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if d ** n > DIM_LIMITS[mode]:
+        raise BudgetError(f"dim^n = {d**n} too large for {mode} mode")
     if der is None:
         der = derivations(alg)
     key = alg.case
@@ -295,13 +238,13 @@ def invariant_dim(alg: CrossAlgebra, n: int, mode="exact", seed=0,
 
     def all_rows():
         for which in gens:
-            yield from _action_rows(der, which, n)
+            for _, row in _action_rows(der, which, n):
+                if row:
+                    yield row
 
     if mode == "exact":
         rank = sparse_rank(all_rows(), mod=None)
         return d ** n - rank
-    if mode != "modp":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     for _attempt in range(3):
         primes = _fresh_primes(rng, 3)

@@ -23,6 +23,20 @@ BOT = "b"
 VERT = "v"
 
 
+def circle_refs(n, m):
+    """Boundary references in circle order 1..n, m'..1'."""
+    return [(TOP, i) for i in range(n)] + [(BOT, j) for j in range(m - 1, -1, -1)]
+
+
+def find_self_loop(d):
+    """A vertex with an edge from itself to itself, or None."""
+    for h, p in d.pairing.items():
+        lh, lp = d.loc[h], d.loc[p]
+        if lh[0] == VERT and lp[0] == VERT and lh[1] == lp[1]:
+            return lh[1]
+    return None
+
+
 class PlanarDiagram:
     """Mutable while being built or rewritten; treated as immutable once it
     participates in a LinComb (hash and equality go through the canonical
@@ -109,12 +123,6 @@ class PlanarDiagram:
     def is_boundary_h(self, h):
         return self.loc[h][0] != VERT
 
-    def circle_positions(self):
-        """Boundary references in circle order 1..n, m'..1'."""
-        refs = [(TOP, i) for i in range(self.n_in)]
-        refs += [(BOT, j) for j in range(self.n_out - 1, -1, -1)]
-        return refs
-
     def boundary_halfedge(self, ref):
         kind, idx = ref
         return self.top[idx] if kind == TOP else self.bot[idx]
@@ -153,7 +161,7 @@ class PlanarDiagram:
         """Connected components as (frozen vertex set, frozen boundary ref set)."""
         comps = []
         seen_h = set()
-        for ref in self.circle_positions():
+        for ref in circle_refs(self.n_in, self.n_out):
             h0 = self.boundary_halfedge(ref)
             if h0 in seen_h:
                 continue
@@ -228,7 +236,7 @@ class PlanarDiagram:
             for slot, h in enumerate(triple):
                 sigma[h] = triple[(slot + 1) % 3]
         pairing = dict(self.pairing)
-        refs = self.circle_positions()
+        refs = circle_refs(self.n_in, self.n_out)
         k = len(refs)
         hub = []
         nxt = self._next_h
@@ -336,7 +344,7 @@ class PlanarDiagram:
         chunks = []
         covered_refs = set()
         covered_verts = set()
-        for ref in self.circle_positions():
+        for ref in circle_refs(self.n_in, self.n_out):
             if ref in covered_refs:
                 continue
             enc, verts = encode_from(self.boundary_halfedge(ref))

@@ -14,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import CaseTag, CrossAlgebra
-from .basis import circle_refs, enumerate_catalan, enumerate_webs, is_basis_diagram
+from .basis import basis_diagrams, build_normalized, is_basis_diagram
 from .linalg import solve_exact
-from .planar import TOP, VERT, PlanarDiagram, PlanarError, planar_to_word, word_to_planar
+from .planar import (TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
+                     planar_to_word, word_to_planar)
 from .tangle import Generator, LinComb, TangleWord, parse_word
 from .tensor import evaluate
 
@@ -76,47 +77,6 @@ def _gon_pattern(k):
     raise RewriteError(f"could not embed the {k}-gon pattern")
 
 
-def _comb_tree(k, order):
-    """Left-comb tree over circle positions 0..k-1 chained in the given
-    cyclic order, as a [k]->[0] diagram."""
-    d = PlanarDiagram(k, 0)
-    bnd = {}
-    for p in range(k):
-        h = d.new_halfedge()
-        d.set_top(p, h)
-        bnd[p] = h
-    pts = list(order)
-    if len(pts) == 2:
-        d.pair(bnd[pts[0]], bnd[pts[1]])
-    else:
-        prev_out = None
-        for i in range(len(pts) - 2):
-            a, o, b = d.new_halfedge(), d.new_halfedge(), d.new_halfedge()
-            d.add_vertex((a, o, b))
-            if i == 0:
-                d.pair(a, bnd[pts[0]])
-            else:
-                d.pair(prev_out, a)
-            d.pair(b, bnd[pts[i + 1]])
-            prev_out = o
-        d.pair(prev_out, bnd[pts[-1]])
-    d.check_valid()
-    return d
-
-
-def _pairing_patch(k, pairs):
-    d = PlanarDiagram(k, 0)
-    bnd = {}
-    for p in range(k):
-        h = d.new_halfedge()
-        d.set_top(p, h)
-        bnd[p] = h
-    for a, b in pairs:
-        d.pair(bnd[a], bnd[b])
-    d.check_valid()
-    return d
-
-
 def _pattern_leg_order(pattern):
     """Boundary position of each leg in the pattern's face-walk order.
 
@@ -160,12 +120,6 @@ class RuleSet:
         else:
             self.rotation_terms = None
 
-    # -- candidates per boundary size
-    def _candidates(self, k):
-        if self.case is CaseTag.DIM7:
-            return list(enumerate_webs(k, 0, budget=max(7, k)))
-        return [t.diagram for t in enumerate_catalan(k, 0)]
-
     def _derive_crossing(self):
         """Express the switch as an exact combination of crossing-free words."""
         alg = self.alg
@@ -199,7 +153,7 @@ class RuleSet:
         pattern = _gon_pattern(k)
         order = _pattern_leg_order(pattern)     # walk index -> boundary position
         target = _eval_vector(pattern, alg)
-        patches = self._candidates(k)
+        patches = basis_diagrams(self.case, k, 0)
         cols = [_eval_vector(p, alg) for p in patches]
         sol = solve_exact(cols, target)
         terms = [(p, c) for p, c in zip(patches, sol) if c]
@@ -213,10 +167,10 @@ class RuleSet:
         derivation share one labeling convention.
         """
         alg = self.alg
-        t_a = _comb_tree(4, (0, 1, 2, 3))
-        t_b = _comb_tree(4, (1, 2, 3, 0))
-        p1 = _pairing_patch(4, [(0, 1), (2, 3)])
-        p2 = _pairing_patch(4, [(1, 2), (3, 0)])
+        t_a = build_normalized(4, 0, ((0, 1, 2, 3),))
+        t_b = build_normalized(4, 0, ((1, 2, 3, 0),))
+        p1 = build_normalized(4, 0, ((0, 1), (2, 3)))
+        p2 = build_normalized(4, 0, ((1, 2), (3, 0)))
         target = _eval_vector(t_a, alg)
         patches = [t_b, p1, p2]
         sol = solve_exact([_eval_vector(p, alg) for p in patches], target)
@@ -504,14 +458,6 @@ def _word_terms_without_crossings(word: TangleWord, rules: RuleSet):
     return done
 
 
-def _find_self_loop(d):
-    for h, p in d.pairing.items():
-        lh, lp = d.loc[h], d.loc[p]
-        if lh[0] == VERT and lp[0] == VERT and lh[1] == lp[1]:
-            return lh[1]
-    return None
-
-
 def _h_pattern_legs(d, a, b):
     """Leg half-edges of the two-vertex pattern around center edge (a, b)."""
     return [d.sigma(a), d.sigma(d.sigma(a)), d.sigma(b), d.sigma(d.sigma(b))]
@@ -580,7 +526,7 @@ def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | 
 def _find_step(d, rules, strategy):
     case = rules.case
     # lollipops kill the whole term
-    v = _find_self_loop(d)
+    v = find_self_loop(d)
     if v is not None:
         return ("lollipop", (v,), [])
     faces = sorted(d.internal_faces(), key=lambda f: (len(f), min(f)))
@@ -645,7 +591,6 @@ def _locate_right_heavy(d, h):
     if d.loc[rp][0] == VERT:
         return (right, rp)
     return _locate_right_heavy(d, left)
-    return None
 
 
 # ----------------------------------------------------------- case wrappers

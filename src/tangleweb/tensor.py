@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CrossAlgebra
+from .algebra import CrossAlgebra, format_fraction
 from .tangle import Generator, TangleWord
 
 
@@ -97,15 +97,12 @@ class TensorMap:
         return sum(par[i] for i in idx) & 1
 
     def to_json_obj(self):
-        def fr(f):
-            return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
         items = sorted(self.entries.items())
         return {
             "case": self.algebra.case.value,
             "n_in": self.n_in,
             "n_out": self.n_out,
-            "entries": [{"out": list(o), "in": list(i), "coeff": fr(c)}
+            "entries": [{"out": list(o), "in": list(i), "coeff": format_fraction(c)}
                         for (o, i), c in items],
         }
 

@@ -125,6 +125,14 @@ def test_normalized_blocks_evaluate_to_left_combs(dim3):
     assert evaluate(planar_to_word(tangles[0].diagram), dim3) == t
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_catalan, enumerate_webs])
+def test_enumerators_reject_negative_arities(enumerate_):
+    with pytest.raises(ValueError):
+        enumerate_(-1, 2)
+    with pytest.raises(ValueError):
+        enumerate_(2, -1)
+
+
 def test_build_normalized_rejects_singletons():
     with pytest.raises(ValueError):
         build_normalized(2, 0, ((0,), (1,)))

@@ -83,9 +83,47 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     obj = json.loads(out)
     assert code == 0 and obj["count"] == 4
     monkeypatch.setenv("TANGLEWEB_BUDGET", "3")
-    from tangleweb.basis import BudgetError
-    with pytest.raises(BudgetError):
-        run(capsys, "--json", "basis", "--case", "dim7", "2", "2")
+    code = main(["--json", "basis", "--case", "dim7", "2", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: boundary size 4 exceeds budget 3\n"
+
+
+def test_budget_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TANGLEWEB_BUDGET", "abc")
+    code = main(["basis", "--case", "dim7", "2", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: TANGLEWEB_BUDGET must be an integer, not 'abc'\n"
+
+
+def test_centralizer_over_budget_exit_2(capsys):
+    code = main(["centralizer", "--case", "dim7", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: 7-dimensional case budgeted to n <= 3\n"
+
+
+def test_word_file_is_a_directory_exit_2(tmp_path, capsys):
+    code = main(["eval", "--case", "dim3", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--case", "dim7", "-1", "2"],
+    ["basis", "--case", "dim3", "-1", "2"],
+    ["basis", "--case", "dim3", "2", "-3"],
+    ["dims", "--case", "dim3", "-1"],
+    ["centralizer", "--case", "kap", "-2"],
+    ["oracle", "--case", "kap", "-1"],
+])
+def test_negative_arity_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_centralizer_table(capsys):
