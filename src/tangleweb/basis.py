@@ -10,7 +10,8 @@ least six sides.
 from __future__ import annotations
 
 from .algebra import CaseTag
-from .planar import TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop
+from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
+                     open_boundary)
 
 
 class BudgetError(ValueError):
@@ -85,16 +86,7 @@ def build_normalized(n, m, blocks) -> PlanarDiagram:
     given: its first point meets the first vertex, its last point the last
     vertex's outgoing leg.  Raises PlanarError if the partition crosses.
     """
-    refs = circle_refs(n, m)
-    d = PlanarDiagram(n, m)
-    bnd = {}
-    for p, ref in enumerate(refs):
-        h = d.new_halfedge()
-        if ref[0] == TOP:
-            d.set_top(ref[1], h)
-        else:
-            d.set_bot(ref[1], h)
-        bnd[p] = h
+    d, bnd = open_boundary(n, m)
 
     for pts in blocks:
         if len(pts) < 2:
@@ -185,16 +177,7 @@ def enumerate_webs(n: int, m: int, budget: int = 7, max_vertices=None):
         # k or fewer vertices for the boundary sizes in budget; +4 is slack
         max_vertices = k + 4
 
-    refs = circle_refs(n, m)
-    base = PlanarDiagram(n, m)
-    stubs = []
-    for ref in refs:
-        h = base.new_halfedge()
-        if ref[0] == TOP:
-            base.set_top(ref[1], h)
-        else:
-            base.set_bot(ref[1], h)
-        stubs.append(h)
+    base, stubs = open_boundary(n, m)
 
     results = {}
 

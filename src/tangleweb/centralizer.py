@@ -34,9 +34,6 @@ class StructureTable:
         self.index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
         self.table = table      # dict (i, j) -> dict k -> Fraction
 
-    def coeff(self, i, j, k):
-        return self.table[(i, j)].get(k, Fraction(0))
-
     def identity_index(self):
         for k, d in enumerate(self.basis):
             if d.vertex_count() == 0 and all(
@@ -228,10 +225,7 @@ def matching_word(n: int, diagram) -> TangleWord:
             target[top[1]] = bot[1]
 
     slices = []
-    # labels travel with the strands
-    strands = [("cap", cap_partner[i]) if i in cap_partner else ("bot", target[i])
-               for i in range(n)]
-    # rename cap labels to shared pair ids
+    # labels travel with the strands; cap labels are shared pair ids
     pair_id = {}
     for i in sorted(cap_partner):
         j = cap_partner[i]

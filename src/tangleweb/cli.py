@@ -24,8 +24,10 @@ from .tensor import evaluate, zero_map
 
 
 def _load_word(path):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_word(text)
+    if path == "-":
+        return parse_word(sys.stdin.read())
+    with open(path, encoding="utf-8") as f:
+        return parse_word(f.read())
 
 
 def _budget():
@@ -118,12 +120,11 @@ def cmd_dims(args):
 def cmd_centralizer(args):
     alg = build(CaseTag(args.case))
     table = structure_constants(alg, args.n)
-    ok = table.check_identity() and table.check_associative()
     obj = table.to_json_obj()
     obj["identity_ok"] = table.check_identity()
     obj["associative_ok"] = table.check_associative()
     print(json.dumps(obj) if args.json else json.dumps(obj, indent=2))
-    return 0 if ok else 1
+    return 0 if obj["identity_ok"] and obj["associative_ok"] else 1
 
 
 def cmd_oracle(args):
@@ -234,7 +235,7 @@ def main(argv=None):
     args = top.parse_args(argv)   # argparse exits with code 2 on usage errors
     try:
         return args.fn(args)
-    except (WordError, BudgetError, OSError) as exc:
+    except (WordError, BudgetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

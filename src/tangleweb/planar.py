@@ -426,6 +426,21 @@ class PlanarDiagram:
         }
 
 
+def open_boundary(n, m):
+    """A PlanarDiagram(n, m) with one unpaired half-edge at each boundary
+    point; returns the diagram and those half-edges in circle order."""
+    d = PlanarDiagram(n, m)
+    stubs = []
+    for kind, i in circle_refs(n, m):
+        h = d.new_halfedge()
+        if kind == TOP:
+            d.set_top(i, h)
+        else:
+            d.set_bot(i, h)
+        stubs.append(h)
+    return d, stubs
+
+
 # ------------------------------------------------------------------ words
 
 def word_to_planar(word: TangleWord) -> PlanarDiagram:
@@ -488,7 +503,7 @@ def word_to_planar(word: TangleWord) -> PlanarDiagram:
     return d
 
 
-def planar_to_word(diag: PlanarDiagram, _selfcheck=True) -> TangleWord:
+def planar_to_word(diag: PlanarDiagram) -> TangleWord:
     """Extract a slice word evaluating to the same morphism.
 
     Greedy frontier sweep: cap adjacent returning strands, merge adjacent
@@ -575,10 +590,9 @@ def planar_to_word(diag: PlanarDiagram, _selfcheck=True) -> TangleWord:
     if order != [(BOT, j) for j in range(m)]:
         raise PlanarError(f"bottom strands out of order: {order}")
     word = TangleWord(n, m, slices)
-    if _selfcheck:
-        redone = word_to_planar(word)
-        if redone.canonical_encoding() != diag.canonical_encoding():
-            raise PlanarError("slicing round-trip mismatch")
+    redone = word_to_planar(word)
+    if redone.canonical_encoding() != diag.canonical_encoding():
+        raise PlanarError("slicing round-trip mismatch")
     return word
 
 

@@ -17,7 +17,7 @@ from .algebra import CaseTag, CrossAlgebra
 from .basis import basis_diagrams, build_normalized, is_basis_diagram
 from .linalg import solve_exact
 from .planar import (TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
-                     planar_to_word, word_to_planar)
+                     open_boundary, planar_to_word, word_to_planar)
 from .tangle import Generator, LinComb, TangleWord, parse_word
 from .tensor import evaluate
 
@@ -54,12 +54,7 @@ def _gon_pattern(k):
     the one embedding in the disk wins.
     """
     for flip in (False, True):
-        d = PlanarDiagram(k, 0)
-        bnd = []
-        for i in range(k):
-            h = d.new_halfedge()
-            d.set_top(i, h)
-            bnd.append(h)
+        d, bnd = open_boundary(k, 0)
         legs = [d.new_halfedge() for _ in range(k)]
         fwd = [d.new_halfedge() for _ in range(k)]   # toward next vertex
         back = [d.new_halfedge() for _ in range(k)]  # toward previous vertex

@@ -79,9 +79,6 @@ class TangleWord:
     def has_crossing(self):
         return any(g is Generator.CROSS for s in self.slices for g in s)
 
-    def slice_count(self):
-        return len(self.slices)
-
     def ascii_art(self):
         """Human-oriented rendering, one row of symbols per slice."""
         symbols = {"id": "|", "cap": "^", "cup": "v", "m": "Y", "w": "A", "x": "X"}

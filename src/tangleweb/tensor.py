@@ -5,6 +5,10 @@ A map V^(x)n -> V^(x)m is stored as {(out_index, in_index): Fraction} over
 multi-indices; n_in = n_out = 0 encodes a scalar.  All Koszul signs are
 produced by exactly two places: the switch generator's matrix and the
 graded rule in tensor_product.
+
+Each generator's matrix is defined once, by its *_map function.  evaluate
+reads its slice tables off generator_map and applies every generator but
+the identity through one table lookup.
 """
 
 from __future__ import annotations
@@ -78,23 +82,6 @@ class TensorMap:
 
     def sub(self, other):
         return self.add(other.scale(-1))
-
-    def apply(self, vec):
-        """Apply to a sparse vector {in_index: coeff}; returns {out_index: coeff}."""
-        out = {}
-        for (o, i), c in self.entries.items():
-            x = vec.get(i)
-            if x:
-                v = out.get(o, Fraction(0)) + c * x
-                if v:
-                    out[o] = v
-                elif o in out:
-                    del out[o]
-        return out
-
-    def index_parity(self, idx):
-        par = self.algebra.parity
-        return sum(par[i] for i in idx) & 1
 
     def to_json_obj(self):
         items = sorted(self.entries.items())
@@ -183,11 +170,6 @@ def tensor_product(f: TensorMap, g: TensorMap) -> TensorMap:
 
 # ---------------------------------------------------------------- pairings
 
-def _dual_matrix(alg):
-    # column j of gram^-1 = coordinates of the dual vector v_j
-    return alg.gram_inv
-
-
 def cap_map(alg) -> TensorMap:
     entries = {}
     d = alg.dim
@@ -200,9 +182,9 @@ def cap_map(alg) -> TensorMap:
 
 
 def cup_map(alg) -> TensorMap:
-    # b^t(1) = sum_i v_i (x) u_i
+    # b^t(1) = sum_i v_i (x) u_i; column i of gram^-1 holds the dual vector v_i
     entries = {}
-    gi = _dual_matrix(alg)
+    gi = alg.gram_inv
     d = alg.dim
     for i in range(d):
         for a in range(d):
@@ -320,94 +302,48 @@ def generator_map(alg, gen: Generator) -> TensorMap:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-class _GenCache:
-    """Per-case lookup tables for fast slice application."""
-
-    def __init__(self):
-        self.tables = {}
-
-    def get(self, alg):
-        key = alg.case
-        t = self.tables.get(key)
-        if t is None:
-            t = self._build(alg)
-            self.tables[key] = t
-        return t
-
-    @staticmethod
-    def _build(alg):
-        d = alg.dim
-        cap = {}
-        for i in range(d):
-            for j in range(d):
-                if alg.gram[i][j]:
-                    cap[(i, j)] = Fraction(alg.gram[i][j])
-        cup = [((a, i), Fraction(alg.gram_inv[a][i]))
-               for i in range(d) for a in range(d) if alg.gram_inv[a][i]]
-        mult = {}
-        for i in range(d):
-            for j in range(d):
-                row = [(k, Fraction(c)) for k, c in enumerate(alg.cross[i][j]) if c]
-                if row:
-                    mult[(i, j)] = row
-        com = comult_map(alg)
-        comult = {}
-        for (out, inn), c in com.entries.items():
-            comult.setdefault(inn[0], []).append((out, c))
-        cross = {}
-        par = alg.parity
-        for i in range(d):
-            for j in range(d):
-                cross[(i, j)] = ((j, i), Fraction(-1 if par[i] and par[j] else 1))
-        return {"cap": cap, "cup": cup, "mult": mult, "comult": comult, "cross": cross}
+# Per-case slice tables {Generator: {input index: [(output index, coeff)]}},
+# regrouped from generator_map so each generator's matrix is defined once.
+# ID has no table: the kernel passes its index through unchanged.
+_TABLES = {}
 
 
-_CACHE = _GenCache()
+def _tables(alg):
+    tables = _TABLES.get(alg.case)
+    if tables is None:
+        tables = {}
+        for gen in Generator:
+            if gen is not Generator.ID:
+                rows = tables[gen] = {}
+                for (o, i), c in generator_map(alg, gen).entries.items():
+                    rows.setdefault(i, []).append((o, c))
+        _TABLES[alg.case] = tables
+    return tables
 
 
-def _apply_slice(entries, slice_, tables):
-    """Compose one slice of generators onto accumulated entries.
+def _apply_slice(entries, plan):
+    """Compose one slice, given as (n_in, table) per generator with table
+    None for the identity, onto the accumulated entries.
 
     Every generator image is parity-even, so no grading signs appear here;
     the switch generator's matrix carries its own signs.
     """
-    cap, cup = tables["cap"], tables["cup"]
-    mult, comult, cross = tables["mult"], tables["comult"], tables["cross"]
     out_entries = {}
     for (out, inn), coeff in entries.items():
         # branches: list of (new_out_prefix, coeff)
         branches = [((), coeff)]
         pos = 0
-        for gen in slice_:
-            if gen is Generator.ID:
-                x = out[pos]
-                branches = [(pre + (x,), c) for pre, c in branches]
-                pos += 1
-            elif gen is Generator.CAP:
-                key = (out[pos], out[pos + 1])
-                w = cap.get(key)
-                branches = [(pre, c * w) for pre, c in branches] if w else []
-                pos += 2
-            elif gen is Generator.CUP:
-                branches = [(pre + ab, c * w) for pre, c in branches for ab, w in cup]
-            elif gen is Generator.MULT:
-                row = mult.get((out[pos], out[pos + 1]))
-                branches = ([(pre + (k,), c * w) for pre, c in branches for k, w in row]
-                            if row else [])
-                pos += 2
-            elif gen is Generator.COMULT:
-                row = comult.get(out[pos])
-                branches = ([(pre + jk, c * w) for pre, c in branches for jk, w in row]
-                            if row else [])
-                pos += 1
-            elif gen is Generator.CROSS:
-                ji, sgn = cross[(out[pos], out[pos + 1])]
-                branches = [(pre + ji, c * sgn) for pre, c in branches]
-                pos += 2
+        for n_in, table in plan:
+            if table is None:
+                x = out[pos:pos + 1]
+                branches = [(pre + x, c) for pre, c in branches]
             else:
-                raise ValueError(f"unknown generator {gen!r}")
-            if not branches:
-                break
+                row = table.get(out[pos:pos + n_in])
+                if row is None:
+                    branches = []
+                    break
+                branches = [(pre + o, c * w) for pre, c in branches for o, w in row]
+            pos += n_in
         for pre, c in branches:
             key = (pre, inn)
             v = out_entries.get(key, Fraction(0)) + c
@@ -421,10 +357,10 @@ def _apply_slice(entries, slice_, tables):
 def evaluate(word: TangleWord, alg: CrossAlgebra) -> TensorMap:
     """Evaluate a tangle word to an exact tensor map, slice by slice."""
     word.validate()
-    tables = _CACHE.get(alg)
+    tables = _tables(alg)
     acc = identity_map(alg, word.n_in).entries
     for slice_ in word.slices:
-        acc = _apply_slice(acc, slice_, tables)
+        acc = _apply_slice(acc, [(g.n_in, tables.get(g)) for g in slice_])
     return TensorMap(alg, word.n_in, word.n_out, acc)
 
 

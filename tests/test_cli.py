@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
 
 
@@ -104,8 +105,13 @@ def test_centralizer_over_budget_exit_2(capsys):
     assert err == "error: 7-dimensional case budgeted to n <= 3\n"
 
 
-def test_word_file_is_a_directory_exit_2(tmp_path, capsys):
-    code = main(["eval", "--case", "dim3", str(tmp_path)])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_word_file_exit_2(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "word.tangle"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+    code = main(["eval", "--case", "dim3", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -132,6 +138,18 @@ def test_centralizer_table(capsys):
     assert code == 0
     assert obj["basis_size"] == 3
     assert obj["identity_ok"] and obj["associative_ok"]
+
+
+def test_centralizer_checks_run_once(capsys, monkeypatch):
+    calls = {"check_identity": 0, "check_associative": 0}
+    for name in calls:
+        def counted(self, _name=name, _check=getattr(StructureTable, name)):
+            calls[_name] += 1
+            return _check(self)
+        monkeypatch.setattr(StructureTable, name, counted)
+    code, _ = run(capsys, "--json", "centralizer", "--case", "kap", "2")
+    assert code == 0
+    assert calls == {"check_identity": 1, "check_associative": 1}
 
 
 def test_oracle_command(capsys):

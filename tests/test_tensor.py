@@ -5,10 +5,10 @@ import pytest
 
 from tangleweb.tangle import Generator, generator_word, parse_word, transpose_tangle
 from tangleweb.tensor import (TensorMap, bn, bnt, cap_map, compose, cup_map,
-                              evaluate, identity_map, mult_map, phi, psi,
-                              scalar_map, switch_map, tensor_product, transpose)
+                              evaluate, generator_map, identity_map, mult_map, phi,
+                              psi, scalar_map, switch_map, tensor_product, transpose)
 
-from conftest import seeded
+from conftest import random_word, seeded
 
 
 def tp(*maps):
@@ -145,6 +145,24 @@ def test_evaluate_transpose_tangle(all_algebras):
     w = generator_word(Generator.MULT)
     for alg in all_algebras:
         assert evaluate(transpose_tangle(w), alg) == transpose(evaluate(w, alg))
+
+
+def test_evaluate_matches_slice_by_slice_functor(all_algebras):
+    # reference: each slice is the graded tensor product of its generator
+    # maps, composed onto the identity on the input strands
+    rng = seeded(14)
+    for alg in all_algebras:
+        gens = {g: generator_map(alg, g) for g in Generator}
+        strands = 4 if alg.dim == 7 else 6
+        for _ in range(40):
+            w = random_word(rng, max_strands=strands, p_cross=0.3)
+            want = identity_map(alg, w.n_in)
+            for slice_ in w.slices:
+                step = scalar_map(alg, 1)
+                for g in slice_:
+                    step = tensor_product(step, gens[g])
+                want = compose(step, want)
+            assert evaluate(w, alg) == want, (alg.case, w)
 
 
 def test_relation_tensors_vanish(dim3, dim7, kap):
