@@ -8,7 +8,12 @@ graded rule in tensor_product.
 
 Each generator's matrix is defined once, by its *_map function.  evaluate
 reads its slice tables off generator_map and applies every generator but
-the identity through one table lookup.
+the identity through one table lookup, in one of two directions.  A word
+with fewer outputs than inputs pulls its output indices up through the
+slices in reverse, with each generator's matrix keyed by output index;
+every other word, square ones included, pushes its input indices down with
+the matrix keyed by input index.  Both directions run the same kernel, so
+each evaluation starts from the identity on the narrower end.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import CrossAlgebra, format_fraction
+from .basis import BudgetError
 from .tangle import Generator, TangleWord
+
+# Most entries one evaluation may hold: the starting identity and the
+# result of each slice are checked against it.  Over 4x the largest
+# intermediate of the test suite and benchmark (1,959,552 entries, a dim7
+# [4]->[4] word).
+MAX_ENTRIES = 8_000_000
 
 
 class ArityError(ValueError):
@@ -302,74 +314,86 @@ def generator_map(alg, gen: Generator) -> TensorMap:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-# Per-case slice tables {Generator: {input index: [(output index, coeff)]}},
-# regrouped from generator_map so each generator's matrix is defined once.
-# ID has no table: the kernel passes its index through unchanged.
+# Per-case slice tables (push, pull), each {Generator: {index: [(index, coeff)]}}
+# regrouped from generator_map, push by input index and pull by output index,
+# so each generator's matrix is defined once.  ID has no table: the kernel
+# passes its index through unchanged.
 _TABLES = {}
 
 
 def _tables(alg):
     tables = _TABLES.get(alg.case)
     if tables is None:
-        tables = {}
+        push, pull = {}, {}
         for gen in Generator:
             if gen is not Generator.ID:
-                rows = tables[gen] = {}
+                by_in = push[gen] = {}
+                by_out = pull[gen] = {}
                 for (o, i), c in generator_map(alg, gen).entries.items():
-                    rows.setdefault(i, []).append((o, c))
-        _TABLES[alg.case] = tables
+                    by_in.setdefault(i, []).append((o, c))
+                    by_out.setdefault(o, []).append((i, c))
+        tables = _TABLES[alg.case] = (push, pull)
     return tables
 
 
 def _apply_slice(entries, plan):
-    """Compose one slice, given as (n_in, table) per generator with table
-    None for the identity, onto the accumulated entries.
+    """Apply one slice, given as (width, table) per generator with table
+    None for the identity, to entries keyed (moving, fixed): each moving
+    index is cut into one key per generator and replaced by that key's row.
 
-    Every generator image is parity-even, so no grading signs appear here;
-    the switch generator's matrix carries its own signs.
+    Every generator image is parity-even, so no grading signs appear here
+    in either direction; the switch generator's matrix carries its own signs.
     """
-    out_entries = {}
-    for (out, inn), coeff in entries.items():
-        # branches: list of (new_out_prefix, coeff)
+    new_entries = {}
+    for (moving, fixed), coeff in entries.items():
+        # branches: list of (new_moving_prefix, coeff)
         branches = [((), coeff)]
         pos = 0
-        for n_in, table in plan:
+        for width, table in plan:
             if table is None:
-                x = out[pos:pos + 1]
+                x = moving[pos:pos + 1]
                 branches = [(pre + x, c) for pre, c in branches]
             else:
-                row = table.get(out[pos:pos + n_in])
+                row = table.get(moving[pos:pos + width])
                 if row is None:
                     branches = []
                     break
                 branches = [(pre + o, c * w) for pre, c in branches for o, w in row]
-            pos += n_in
+            pos += width
         for pre, c in branches:
-            key = (pre, inn)
-            v = out_entries.get(key, Fraction(0)) + c
+            key = (pre, fixed)
+            v = new_entries.get(key, Fraction(0)) + c
             if v:
-                out_entries[key] = v
-            elif key in out_entries:
-                del out_entries[key]
-    return out_entries
+                new_entries[key] = v
+            elif key in new_entries:
+                del new_entries[key]
+    return new_entries
 
 
 def evaluate(word: TangleWord, alg: CrossAlgebra) -> TensorMap:
-    """Evaluate a tangle word to an exact tensor map, slice by slice."""
+    """Evaluate a tangle word to an exact tensor map, slice by slice.
+
+    A word with fewer outputs than inputs is evaluated from its output side:
+    output indices are pulled up through the slices in reverse, each
+    generator keyed by its outputs.  Every other word pushes its input
+    indices down.  Raises BudgetError when the starting identity or the
+    result of a slice would hold more than MAX_ENTRIES entries.
+    """
     word.validate()
-    tables = _tables(alg)
-    acc = identity_map(alg, word.n_in).entries
-    for slice_ in word.slices:
-        acc = _apply_slice(acc, [(g.n_in, tables.get(g)) for g in slice_])
+    push, pull = _tables(alg)
+    pulled = word.n_out < word.n_in
+    start = word.n_out if pulled else word.n_in
+    if alg.dim ** start > MAX_ENTRIES:
+        raise BudgetError(f"evaluation starts from {alg.dim}^{start} entries, "
+                          f"more than the budget of {MAX_ENTRIES}")
+    tables = pull if pulled else push
+    acc = identity_map(alg, start).entries
+    for slice_ in (reversed(word.slices) if pulled else word.slices):
+        acc = _apply_slice(acc, [(g.n_out if pulled else g.n_in, tables.get(g))
+                                 for g in slice_])
+        if len(acc) > MAX_ENTRIES:
+            raise BudgetError(f"evaluation reached {len(acc)} entries, "
+                              f"more than the budget of {MAX_ENTRIES}")
+    if pulled:
+        acc = {(o, i): c for (i, o), c in acc.items()}
     return TensorMap(alg, word.n_in, word.n_out, acc)
-
-
-def evaluate_lincomb(terms, alg) -> TensorMap:
-    """Evaluate a list of (TangleWord, coeff) pairs into one map."""
-    acc = None
-    for word, coeff in terms:
-        t = evaluate(word, alg).scale(coeff)
-        acc = t if acc is None else acc.add(t)
-    if acc is None:
-        raise ValueError("empty linear combination has no defined arity")
-    return acc

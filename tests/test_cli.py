@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_budget_env_var_not_an_integer(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: TANGLEWEB_BUDGET must be an integer, not 'abc'\n"
+
+
+def test_eval_over_entry_budget_exit_2(tmp_path, capsys):
+    # 3^99999 starting entries: refused before any is built
+    f = word_file(tmp_path, "tangle 99999 -> 99999")
+    start = time.perf_counter()
+    code = main(["eval", "--case", "dim3", f])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 0.5
 
 
 def test_centralizer_over_budget_exit_2(capsys):

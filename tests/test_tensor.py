@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from tangleweb import tensor
+from tangleweb.basis import BudgetError
+from tangleweb.planar import planar_to_word
+from tangleweb.rewrite import _gon_pattern
 from tangleweb.tangle import Generator, generator_word, parse_word, transpose_tangle
 from tangleweb.tensor import (TensorMap, bn, bnt, cap_map, compose, cup_map,
                               evaluate, generator_map, identity_map, mult_map, phi,
@@ -147,22 +151,53 @@ def test_evaluate_transpose_tangle(all_algebras):
         assert evaluate(transpose_tangle(w), alg) == transpose(evaluate(w, alg))
 
 
-def test_evaluate_matches_slice_by_slice_functor(all_algebras):
+def _functor(alg, gens, w):
     # reference: each slice is the graded tensor product of its generator
     # maps, composed onto the identity on the input strands
+    want = identity_map(alg, w.n_in)
+    for slice_ in w.slices:
+        step = scalar_map(alg, 1)
+        for g in slice_:
+            step = tensor_product(step, gens[g])
+        want = compose(step, want)
+    return want
+
+
+def test_evaluate_matches_slice_by_slice_functor(all_algebras):
+    # evaluate pulls words with n_out < n_in and pushes the rest; the seeded
+    # words cover both directions and the ties in every case
     rng = seeded(14)
     for alg in all_algebras:
         gens = {g: generator_map(alg, g) for g in Generator}
         strands = 4 if alg.dim == 7 else 6
+        shapes = set()
         for _ in range(40):
             w = random_word(rng, max_strands=strands, p_cross=0.3)
-            want = identity_map(alg, w.n_in)
-            for slice_ in w.slices:
-                step = scalar_map(alg, 1)
-                for g in slice_:
-                    step = tensor_product(step, gens[g])
-                want = compose(step, want)
-            assert evaluate(w, alg) == want, (alg.case, w)
+            shapes.add((w.n_out > w.n_in) - (w.n_out < w.n_in))
+            assert evaluate(w, alg) == _functor(alg, gens, w), (alg.case, w)
+        assert shapes == {-1, 0, 1}, alg.case
+
+
+def test_evaluate_face_patterns_dim7(dim7):
+    # the [k]->[0] words of the face rules, pulled from their output side
+    gens = {g: generator_map(dim7, g) for g in Generator}
+    for k in (2, 3, 4):
+        w = planar_to_word(_gon_pattern(k))
+        assert (w.n_in, w.n_out) == (k, 0)
+        assert evaluate(w, dim7) == _functor(dim7, gens, w), k
+
+
+def test_evaluate_entry_budget(dim3, monkeypatch):
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 8)
+    words = ("tangle 2 -> 2",                       # 3^2 starting entries
+             "tangle 0 -> 4 / cup / id,cup,id",     # pushed: 9 after slice 2
+             "tangle 4 -> 0 / id,cap,id / cap")     # pulled: 9 after slice 1
+    for text in words:
+        with pytest.raises(BudgetError):
+            evaluate(parse_word(text), dim3)
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 9)
+    for text in words:
+        assert len(evaluate(parse_word(text), dim3).entries) == 9
 
 
 def test_relation_tensors_vanish(dim3, dim7, kap):
@@ -205,11 +240,9 @@ def test_tensor_map_json(dim3):
     assert {"out": [2], "in": [0, 1], "coeff": "1"} in obj["entries"]
 
 
-def test_evaluate_lincomb_relation_words(dim3, dim7):
-    from tangleweb.tensor import evaluate_lincomb
-    terms = [(parse_word("tangle 2 -> 1 / m"), 1),
-             (parse_word("tangle 2 -> 1 / x / m"), 1)]
+def test_relation_word_sum_evaluates_to_zero(dim3, dim7):
+    # m + m o x vanishes in the plain cases
     for alg in (dim3, dim7):
-        assert evaluate_lincomb(terms, alg).is_zero()
-    with pytest.raises(ValueError):
-        evaluate_lincomb([], dim3)
+        total = evaluate(parse_word("tangle 2 -> 1 / m"), alg).add(
+            evaluate(parse_word("tangle 2 -> 1 / x / m"), alg))
+        assert total.is_zero()
