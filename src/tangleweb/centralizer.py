@@ -86,7 +86,11 @@ def _strand_to_same_bottom(d, h):
 
 
 def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
-    """Multiply basis diagrams by stacking and normalizing; exact."""
+    """Multiply basis diagrams by stacking and normalizing; exact.
+
+    The products share one normalization memo, so each distinct diagram
+    they reach is reduced once per table.
+    """
     if alg.case is CaseTag.DIM7 and n > 3:
         raise BudgetError("7-dimensional case budgeted to n <= 3")
     if alg.case is not CaseTag.DIM7 and n > 4:
@@ -95,10 +99,11 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     words = [planar_to_word(d) for d in basis]
     index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
     table = {}
+    memo = {}
     for i, wi in enumerate(words):
         for j, wj in enumerate(words):
             stacked = compose_tangles(wi, wj)   # first wj, then wi
-            out = normalize(stacked, alg)
+            out = normalize(stacked, alg, memo=memo)
             row = {}
             for diag, c in out:
                 k = index.get(diag.canonical_encoding())
@@ -287,7 +292,8 @@ def brauer_map(alg: CrossAlgebra, n: int):
         raise BudgetError("Brauer comparison budgeted to n <= 4")
     delta = Fraction(3) if alg.case is CaseTag.DIM3 else Fraction(-1)
     diagrams = sorted(brauer_diagrams(n), key=sorted_key)
-    images = {d: normalize(matching_word(n, d), alg) for d in diagrams}
+    memo = {}
+    images = {d: normalize(matching_word(n, d), alg, memo=memo) for d in diagrams}
 
     gens = [brauer_sigma(n, i) for i in range(n - 1)] + \
            [brauer_e(n, i) for i in range(n - 1)]
@@ -296,7 +302,7 @@ def brauer_map(alg: CrossAlgebra, n: int):
         for h in gens:
             prod, loops = brauer_compose(g, h, n)
             lhs = normalize(compose_tangles(matching_word(n, g),
-                                            matching_word(n, h)), alg)
+                                            matching_word(n, h)), alg, memo=memo)
             rhs = images[prod].scale(delta ** loops)
             if lhs != rhs:
                 hom_ok = False

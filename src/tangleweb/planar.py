@@ -314,21 +314,23 @@ class PlanarDiagram:
         if self._enc is not None:
             return self._enc
 
+        pairing, loc, rot = self.pairing, self.loc, self.rot
+
         def encode_from(h0):
+            """Encode the component of h0 breadth first; also returns its
+            vertices and the boundary points the walk reached."""
             out = []
             entry_slot = {}
             names = {}
+            refs = {loc[h0][:2]}
             queue = [h0]
-            qi = 0
-            while qi < len(queue):
-                h = queue[qi]
-                qi += 1
-                p = self.pairing[h]
-                where = self.loc[p]
+            for h in queue:          # the walk appends to the list it reads
+                where = loc[pairing[h]]
                 if where[0] != VERT:
+                    refs.add(where[:2])
                     out.append(f"{where[0]}{where[1]}")
                     continue
-                vid, slot = where[1], where[2]
+                _, vid, slot = where
                 if vid in names:
                     rel = (slot - entry_slot[vid]) % 3
                     out.append(f"V{names[vid]}.{rel}")
@@ -336,10 +338,10 @@ class PlanarDiagram:
                 names[vid] = len(names)
                 entry_slot[vid] = slot
                 out.append(f"N{names[vid]}")
-                s1 = self.sigma(p)
-                queue.append(s1)
-                queue.append(self.sigma(s1))
-            return ",".join(out), set(names)
+                triple = rot[vid]
+                queue.append(triple[(slot + 1) % 3])
+                queue.append(triple[(slot + 2) % 3])
+            return ",".join(out), names, refs
 
         chunks = []
         covered_refs = set()
@@ -347,10 +349,10 @@ class PlanarDiagram:
         for ref in circle_refs(self.n_in, self.n_out):
             if ref in covered_refs:
                 continue
-            enc, verts = encode_from(self.boundary_halfedge(ref))
-            covered_verts |= verts
+            enc, verts, refs = encode_from(self.boundary_halfedge(ref))
+            covered_verts.update(verts)
+            covered_refs |= refs
             chunks.append(f"{ref[0]}{ref[1]}:{enc}")
-            covered_refs |= self._refs_of_component(ref)
 
         closed_chunks = []
         left = set(self.rot) - covered_verts
@@ -362,14 +364,14 @@ class PlanarDiagram:
                 if v in comp_v:
                     continue
                 comp_v.add(v)
-                for h in self.rot[v]:
-                    w = self.loc[self.pairing[h]]
+                for h in rot[v]:
+                    w = loc[pairing[h]]
                     if w[0] == VERT:
                         stack.append(w[1])
             best = None
             for v in comp_v:
-                for h in self.rot[v]:
-                    enc, _ = encode_from(h)
+                for h in rot[v]:
+                    enc = encode_from(h)[0]
                     if best is None or enc < best:
                         best = enc
             closed_chunks.append(f"c:{best}")
@@ -378,23 +380,6 @@ class PlanarDiagram:
         enc = (f"{self.n_in}>{self.n_out}|o{self.loops}|" + ";".join(chunks)).encode()
         self._enc = enc
         return enc
-
-    def _refs_of_component(self, ref):
-        refs = set()
-        stack = [self.boundary_halfedge(ref)]
-        seen_h = set()
-        while stack:
-            h = stack.pop()
-            if h in seen_h:
-                continue
-            seen_h.add(h)
-            where = self.loc[h]
-            if where[0] == VERT:
-                stack.extend(self.rot[where[1]])
-            else:
-                refs.add(where[:2])
-            stack.append(self.pairing[h])
-        return refs
 
     def __eq__(self, other):
         return (isinstance(other, PlanarDiagram)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import CaseTag, CrossAlgebra
-from .basis import basis_diagrams, build_normalized, is_basis_diagram
+from .basis import BudgetError, basis_diagrams, build_normalized, is_basis_diagram
 from .linalg import solve_exact
 from .planar import (TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
                      open_boundary, planar_to_word, word_to_planar)
@@ -24,6 +24,12 @@ from .tensor import evaluate
 
 class RewriteError(RuntimeError):
     pass
+
+
+# crossing-free words one input word may expand into before any rewriting:
+# each crossing multiplies them by len(crossing_terms), up to 4.  The
+# library's own largest is 3^7 (a kap Brauer word at n = 4).
+MAX_CROSSING_TERMS = 1 << 14
 
 
 _EVAL_CACHE = {}
@@ -341,61 +347,47 @@ def _tree_potential(d):
         if not comp_v or not comp_b:
             continue
         parsed = _parse_component(d, comp_v, comp_b)
-        if parsed is None:
-            continue
-        _, shape = parsed
-        total += _right_weight(shape)
+        if parsed is not None:
+            total += parsed[1]
     return total
 
 
-def _right_weight(shape):
-    # shape: position or (left, right); weight counts leaves under right
-    # children beyond the first, i.e. 0 exactly for left combs
-    def leaves(s):
-        return 1 if not isinstance(s, tuple) else leaves(s[0]) + leaves(s[1])
-
-    def go(s):
-        if not isinstance(s, tuple):
-            return 0
-        l, r = s
-        return go(l) + go(r) + (leaves(r) - 1)
-
-    return go(shape)
-
-
 def _parse_component(d, comp_v, comp_b):
-    """Parse a tree component into (block positions, expression shape).
+    """Parse a tree component into (block positions, right weight).
 
-    The expression is rooted at the block's last circle position; leaves are
-    the remaining positions in order.  Returns None if the component is not
-    a tree (has a cycle)."""
+    The tree is rooted at the block's last circle position.  Its right
+    weight counts, at every vertex, the leaves under the right child beyond
+    the first, so it is 0 exactly for left combs.  Returns None if the
+    component is not a tree (has a cycle)."""
     refs = circle_refs(d.n_in, d.n_out)
     pos_of = {ref: p for p, ref in enumerate(refs)}
     block = sorted(pos_of[r] for r in comp_b)
     if len(comp_v) != len(block) - 2:
         return None
-    root_ref = refs[block[-1]]
-    root_h = d.boundary_halfedge(root_ref)
-
-    def parse(h, seen):
-        # h: half-edge whose pairing leads into the subtree
+    # post-order without recursion: a half-edge leads into a subtree, None
+    # closes a vertex whose two subtree leaf counts are on `leaves`
+    weight = 0
+    leaves = []
+    seen = set()
+    todo = [d.boundary_halfedge(refs[block[-1]])]
+    while todo:
+        h = todo.pop()
+        if h is None:
+            right = leaves.pop()
+            leaves.append(leaves.pop() + right)
+            weight += right - 1
+            continue
         p = d.pairing[h]
         where = d.loc[p]
         if where[0] != VERT:
-            return pos_of[where[:2]]
-        vid = where[1]
-        if vid in seen:
-            raise RewriteError("cycle while parsing tree")
-        seen.add(vid)
-        left = d.sigma(d.sigma(p))
+            leaves.append(1)
+            continue
+        if where[1] in seen:
+            return None
+        seen.add(where[1])
         right = d.sigma(p)
-        return (parse(left, seen), parse(right, seen))
-
-    try:
-        shape = parse(root_h, set())
-    except RewriteError:
-        return None
-    return block, shape
+        todo += (None, right, d.sigma(right))
+    return block, weight
 
 
 # ------------------------------------------------------------------ trace
@@ -424,6 +416,11 @@ class RewriteTrace:
 
 def _word_terms_without_crossings(word: TangleWord, rules: RuleSet):
     """Expand every crossing via the derived switch rule."""
+    crossings = sum(slice_.count(Generator.CROSS) for slice_ in word.slices)
+    terms = len(rules.crossing_terms) ** crossings
+    if terms > MAX_CROSSING_TERMS:
+        raise BudgetError(f"{crossings} crossings expand into {terms} words, "
+                          f"over the budget of {MAX_CROSSING_TERMS}")
     pending = [(word, Fraction(1))]
     done = []
     while pending:
@@ -482,40 +479,84 @@ def _pick(cands, strategy):
     return cands[0] if strategy == "first" else cands[-1]
 
 
-def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | None = None):
+def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | None = None,
+              *, memo: dict | None = None):
     """Normalize a word or linear combination of words to basis diagrams.
 
     Returns a LinComb keyed by PlanarDiagram.  Evaluation is preserved
     exactly: evaluate(input) == sum of coeff * evaluate(diagram).
+
+    The engine walks the rewrite tree depth first with an explicit stack, so
+    a long chain of steps never recurses.  Without `memo` every diagram
+    reached is reduced.  `memo` is a dict owned by the caller and passed by
+    keyword: each distinct diagram, keyed by its canonical encoding, is then
+    reduced once and its normal form ((basis diagram, coeff), ...) stored,
+    and later occurrences, in this call or a later one given the same dict,
+    reuse it.  This is exact because a normal form is the diagram's unique
+    basis expansion, whatever the rewrite path.  A memo may only be shared
+    by calls with the same `alg` and `strategy`, and a `trace` then lists
+    only the reductions actually performed.
     """
     rules = rules_for(alg)
     if isinstance(words, TangleWord):
         words = [(words, Fraction(1))]
-    queue = []
+    inputs = []
     for w, c in words:
         for w2, c2 in _word_terms_without_crossings(w, rules):
-            queue.append((word_to_planar(w2), c * c2))
+            inputs.append((word_to_planar(w2), c * c2))
 
     out = LinComb()
-    while queue:
-        d, coeff = queue.pop()
+    # frame: (memo key, weight, pending outcomes, accumulator), outcomes popped
+    # last first.  An unkeyed frame's outcomes carry their coefficient from
+    # the root and go into its parent's accumulator.  A keyed frame's carry
+    # their coefficient relative to it: it accumulates its own normal form
+    # and, once done, stores it and adds it times its weight into its
+    # parent's accumulator.
+    stack = [(None, None, inputs, out)]
+    while stack:
+        key, weight, pending, acc = stack[-1]
+        if not pending:
+            stack.pop()
+            if key is not None:
+                memo[key] = form = tuple(acc)
+                _add_terms(stack[-1][3], form, weight)
+            continue
+        d, coeff = pending.pop()
+        d_key = None
+        if memo is not None:
+            d_key = d.canonical_encoding()
+            form = memo.get(d_key)
+            if form is not None:
+                _add_terms(acc, form, coeff)
+                continue
         step = _find_step(d, rules, strategy)
         if step is None:
+            factor = 1
             if d.loops:
-                coeff *= rules.circle_value ** d.loops
+                factor = rules.circle_value ** d.loops
+                coeff *= factor
                 d = d.copy()
                 d.loops = 0
                 d._enc = None
             if not is_basis_diagram(d, alg.case):
                 raise RewriteError(f"normal form is not a basis diagram: {d!r}")
-            out.add_term(d, coeff)
+            acc.add_term(d, coeff)
+            if d_key is not None:
+                memo[d_key] = ((d, factor),)
             continue
         rule_name, location, outcomes = step
         if trace is not None:
             trace.record(rule_name, location, measure(d, alg.case), outcomes)
-        for d2, c2 in outcomes:
-            queue.append((d2, coeff * c2))
+        if d_key is None:
+            stack.append((None, None, [(d2, coeff * c2) for d2, c2 in outcomes], acc))
+        else:
+            stack.append((d_key, coeff, outcomes, LinComb()))
     return out
+
+
+def _add_terms(acc, form, coeff):
+    for d, c in form:
+        acc.add_term(d, coeff * c)
 
 
 def _find_step(d, rules, strategy):
@@ -562,13 +603,12 @@ def _find_tree_move(d, strategy):
         parsed = _parse_component(d, comp_v, comp_b)
         if parsed is None:
             raise RewriteError("cyclic component after face stage")
-        block, shape = parsed
-        if _right_weight(shape) == 0:
+        block, weight = parsed
+        if weight == 0:
             continue
         # find a vertex whose right child is internal; recover its half-edges
         refs = circle_refs(d.n_in, d.n_out)
-        root_h = d.boundary_halfedge(refs[block[-1]])
-        hit = _locate_right_heavy(d, root_h)
+        hit = _locate_right_heavy(d, d.boundary_halfedge(refs[block[-1]]))
         if hit is not None:
             cands.append(hit)
     return _pick(cands, strategy)
@@ -576,16 +616,16 @@ def _find_tree_move(d, strategy):
 
 def _locate_right_heavy(d, h):
     """First edge (parent-side half, child-side half) whose child is the
-    parent's right operand and itself internal."""
-    p = d.pairing[h]
-    if d.loc[p][0] != VERT:
-        return None
-    right = d.sigma(p)
-    left = d.sigma(right)
-    rp = d.pairing[right]
-    if d.loc[rp][0] == VERT:
-        return (right, rp)
-    return _locate_right_heavy(d, left)
+    parent's right operand and itself internal, down the left spine."""
+    while True:
+        p = d.pairing[h]
+        if d.loc[p][0] != VERT:
+            return None
+        right = d.sigma(p)
+        rp = d.pairing[right]
+        if d.loc[rp][0] == VERT:
+            return (right, rp)
+        h = d.sigma(right)
 
 
 # ----------------------------------------------------------- case wrappers

@@ -8,7 +8,9 @@ from tangleweb.centralizer import (BudgetError, brauer_compose, brauer_diagrams,
                                    brauer_sigma, centralizer_basis, matching_word,
                                    matrix_model, structure_constants)
 from tangleweb.oracle import invariant_dim
+from tangleweb.planar import planar_to_word
 from tangleweb.rewrite import eval_diagram, normalize
+from tangleweb.tangle import compose_tangles
 from tangleweb.tensor import TensorMap, evaluate
 
 
@@ -61,6 +63,23 @@ def test_kap_n2_table(kap):
 def test_basis_sizes_n3(dim3, kap):
     for alg in (dim3, kap):
         assert len(centralizer_basis(alg, 3)) == riordan(6) == 15
+
+
+def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7):
+    # the table's one memo changes no product: each equals a fresh normalize
+    for alg, n in ((dim3, 3), (kap, 3), (dim7, 2)):
+        table = structure_constants(alg, n)
+        words = [planar_to_word(d) for d in table.basis]
+        for (i, j), row in table.table.items():
+            fresh = normalize(compose_tangles(words[i], words[j]), alg)
+            assert row == {table.index[d.canonical_encoding()]: c for d, c in fresh}
+
+
+def test_brauer_images_match_fresh_normalize(dim3, kap):
+    for alg in (dim3, kap):
+        diagrams, images, _, _ = brauer_map(alg, 3)
+        for d in diagrams:
+            assert images[d] == normalize(matching_word(3, d), alg)
 
 
 def test_budget_guard(dim7, dim3):

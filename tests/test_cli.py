@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+from tangleweb.algebra import CaseTag, build
 from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
+from tangleweb.rewrite import rules_for
 
 
 def run(capsys, *argv):
@@ -104,6 +106,19 @@ def test_eval_over_entry_budget_exit_2(tmp_path, capsys):
     f = word_file(tmp_path, "tangle 99999 -> 99999")
     start = time.perf_counter()
     code = main(["eval", "--case", "dim3", f])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 0.5
+
+
+def test_normalize_over_crossing_budget_exit_2(tmp_path, capsys):
+    # 14 crossings would expand into 4^14 words: refused before any is built
+    f = word_file(tmp_path, "tangle 2 -> 2" + " / x" * 14)
+    rules_for(build(CaseTag.DIM7))      # rule derivation is per-process set-up
+    start = time.perf_counter()
+    code = main(["normalize", "--case", "dim7", f])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import is_basis_diagram
+from tangleweb.basis import BudgetError, build_normalized, is_basis_diagram
 from tangleweb.planar import planar_to_word
 from tangleweb.rewrite import (RewriteTrace, derive_crossing_rule, eval_diagram,
                                normalize, normalize_g2, normalize_so3,
@@ -228,3 +230,63 @@ def test_hexagon_web_is_basis(dim7):
     assert hexagon.canonical_encoding() in webs
     out = normalize(planar_to_word(hexagon), dim7)
     assert out.terms == {hexagon: 1}
+
+
+@pytest.mark.parametrize("strategy", ["first", "last"])
+def test_shared_memo_matches_fresh_normalize(all_algebras, strategy):
+    # one memo across 100 seeded words per case gives what a fresh
+    # normalize of each word gives, in fewer rewrite steps
+    rng = seeded(43)
+    for alg in all_algebras:
+        memo = {}
+        fresh_trace, memo_trace = RewriteTrace(alg.case), RewriteTrace(alg.case)
+        for _ in range(100):
+            w = random_word(rng, max_slices=6, max_strands=4, p_cross=0.3)
+            want = normalize(w, alg, strategy, fresh_trace)
+            got = normalize(w, alg, strategy, memo_trace, memo=memo)
+            assert got == want, (alg.case, strategy, w.format())
+        assert 0 < len(memo_trace.steps) < len(fresh_trace.steps)
+
+
+def test_memo_trace_lists_only_reductions_performed(dim7):
+    w = parse_word("tangle 3 -> 3 / x,id / id,x / x,id")
+    memo = {}
+    first, again = RewriteTrace(dim7.case), RewriteTrace(dim7.case)
+    a = normalize(w, dim7, trace=first, memo=memo)
+    b = normalize(w, dim7, trace=again, memo=memo)
+    assert a == b and first.steps and not again.steps
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["fresh", "memo"])
+def test_deep_diagrams_need_no_recursion(dim3, memo):
+    # 100 bigons in a row are 100 nested rewrite steps, each worth -2; a
+    # 60-leaf left comb is a basis diagram whose tree is 58 vertices deep
+    chain = parse_word("tangle 1 -> 1" + " / w / m" * 100)
+    comb = build_normalized(60, 0, (tuple(range(60)),))
+    comb_word = planar_to_word(comb)
+    rules_for(dim3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 50)
+    try:
+        chain_out = normalize(chain, dim3, memo=memo)
+        comb_out = normalize(comb_word, dim3, memo=memo)
+    finally:
+        sys.setrecursionlimit(limit)
+    (d, c), = list(chain_out)
+    assert c == 2 ** 100 and d.vertex_count() == 0
+    assert comb_out.terms == {comb: 1}
+
+
+def test_crossing_expansion_budget(dim3, monkeypatch):
+    # dim3 rewrites a crossing into two words: 2^2 fits a budget of 4, 2^3 does not
+    monkeypatch.setattr(rewrite, "MAX_CROSSING_TERMS", 4)
+    normalize(parse_word("tangle 2 -> 2 / x / x"), dim3)
+    with pytest.raises(BudgetError):
+        normalize(parse_word("tangle 2 -> 2 / x / x / x"), dim3)
