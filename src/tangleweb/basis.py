@@ -125,6 +125,12 @@ def enumerate_catalan(n: int, m: int):
     return out
 
 
+def check_budget(k: int, budget: int):
+    """Refuse a web search over a boundary of size k past the budget."""
+    if k > budget:
+        raise BudgetError(f"boundary size {k} exceeds budget {budget}")
+
+
 def _check_arities(n, m):
     if n < 0 or m < 0:
         raise ValueError(f"arities must be non-negative, got [{n}] -> [{m}]")
@@ -159,23 +165,85 @@ def _closed_face(d, start):
         cur = nxt
 
 
-def enumerate_webs(n: int, m: int, budget: int = 7, max_vertices=None):
+def web_vertex_bound(k: int) -> int:
+    """The most trivalent vertices a non-elliptic web with k boundary points
+    can have: k - 2 + 2 * faces(k - 3), proved in enumerate_webs."""
+    if k < 3:
+        return 0
+    # faces[x]: most internal faces of a patch with phi <= x, split into
+    # connected parts; one(y): a connected patch with phi = y (steps 4-5)
+    faces = [0] * (k - 2)
+
+    def one(y):
+        return max(1, y - 3) + (faces[y - 6] if y >= 6 else 0)
+
+    for x in range(3, k - 2):
+        faces[x] = max(one(y) + faces[x - y] for y in range(3, x + 1))
+    return k - 2 + 2 * faces[k - 3]
+
+
+def enumerate_webs(n: int, m: int, budget: int = 7):
     """All non-elliptic webs [n] -> [m] by exhaustive planar search.
 
     Grows diagrams boundary-first: the first open stub of the active region
     either connects to another stub of that region (splitting it) or meets a
     fresh trivalent vertex.  Any face completed with fewer than six sides
-    prunes the branch, which is also what bounds the vertex count in
-    practice; max_vertices is a hard stop on top of that.
+    prunes the branch, and no branch grows past web_vertex_bound(n + m)
+    vertices.  That bound holds for every k = n + m, so no web is left out:
+
+    Let W be a non-elliptic web with k boundary points (trivalent, no loops,
+    every internal face with >= 6 sides), and X the sum of (sides - 6) over
+    its internal faces.
+
+    1. Every component meets the boundary.  A closed component with no
+       closed component inside it is a plane trivalent graph, so by Euler
+       its faces have sum(6 - sides) = 12; its outer face gives < 6, so one
+       of its inner faces, an internal face of W, has < 6 sides.
+    2. A component C with k_C legs, V_C vertices and F_C internal faces,
+       closed up by the boundary circle, has V_C = k_C - 2 + 2 F_C by
+       Euler.  Its k_C gap faces (between consecutive legs) then hold
+       3 V_C + k_C - (6 F_C + X_C) = 4 k_C - 6 - X_C edge sides.  If
+       V_C > 0 every leg has a gap face on both sides, so
+       P_C + 2 T_C = 2 k_C - 6 - X_C, where P_C counts the edges between an
+       internal face and a gap face and T_C >= 0 the other edges with gap
+       faces on both sides.
+    3. A patch is a union of closed internal faces whose outside is
+       connected, as C's internal faces are.  Its vertices have degree 2
+       (the third edge is outside) or 3, and each lies at most once on the
+       perimeter, since two outside corners would put an edge outside on
+       both sides.  With c components, F faces, X excess, b degree-3
+       vertices on the perimeter and P perimeter edges, Euler
+       (v - e + F = c, 2e = 6F + X + P, P = #degree-2 + b) gives
+       P = 6c + X + 2b.  Write phi = b + 3c + X.  For C's internal faces,
+       step 2 gives phi = k_C - 3 - T_C <= k_C - 3.
+    4. In a connected patch the b degree-3 perimeter vertices cut the
+       perimeter into runs that each follow one face, so at most max(b, 1)
+       faces touch it.  The rest form a patch Q (each removed face touches
+       the outside) with c', b', X' and 6c' + X' + b' degree-2 vertices,
+       each sending its third edge into the removed faces.  The edges with
+       removed faces on both sides form a forest, because a cycle would
+       shut a removed face away from the outside.  Its leaves are those
+       degree-2 vertices and the b perimeter vertices, and its other
+       vertices have degree 3.  With Q's components contracted to points
+       the trees meeting Q still form a forest (a cycle would again shut a
+       face in), so at most c' - 1 trees meet Q more than once, and at most
+       2(c' - 1) of the degree-2 vertices lie on them.  Every other tree
+       meets Q once and so ends at a perimeter vertex as well:
+       b >= b' + 4c' + X' + 2, so phi(Q) <= b - c' - 2 <= phi - 6.
+    5. So a connected patch with phi = y has at most
+       max(1, y - 3) + faces(y - 6) faces, where faces(x) is the most a
+       patch with phi <= x can have, taking the best split of x into
+       connected parts (0 for x < 3).  The internal faces of W's c
+       components have phi <= k - 3 in all by step 3, so F <= faces(k - 3)
+       and V = k - 2c + 2F <= k - 2 + 2 faces(k - 3).
+
+    The bound is k - 2 for 2 <= k <= 5 and k for k = 6, 7 (the largest
+    webs found), and it is met by the carbon skeletons of naphthalene
+    (k = 8, 10 vertices), pyrene (k = 10, 16) and coronene (k = 12, 24).
     """
     _check_arities(n, m)
     k = n + m
-    if k > budget:
-        raise BudgetError(f"boundary size {k} exceeds budget {budget}")
-    if max_vertices is None:
-        # an Euler count over faces of size >= 6 keeps non-elliptic webs at
-        # k or fewer vertices for the boundary sizes in budget; +4 is slack
-        max_vertices = k + 4
+    check_budget(k, budget)
 
     base, stubs = open_boundary(n, m)
 
@@ -223,7 +291,7 @@ def enumerate_webs(n: int, m: int, budget: int = 7, max_vertices=None):
             del base.pairing[s], base.pairing[a]
             base.drop_vertex(vid)
 
-    rec(tuple(stubs), (), max_vertices)
+    rec(tuple(stubs), (), web_vertex_bound(k))
     webs = [w for w in results.values() if is_basis_diagram(w, CaseTag.DIM7)]
     webs.sort(key=lambda w: w.canonical_encoding())
     return webs

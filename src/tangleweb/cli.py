@@ -13,7 +13,7 @@ import sys
 
 from .algebra import (CaseTag, build, cayley_hamilton_check, check_axioms,
                       format_fraction, skew_symmetrization_check)
-from .basis import BudgetError, enumerate_catalan, enumerate_webs, riordan
+from .basis import BudgetError, check_budget, enumerate_catalan, enumerate_webs, riordan
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
 from .oracle import (DIM_LIMITS, check_closed_under_bracket, check_kills_form,
@@ -97,13 +97,16 @@ def cmd_basis(args):
 
 def cmd_dims(args):
     case = CaseTag(args.case)
+    if case is CaseTag.DIM7:
+        budget = _budget()
+        check_budget(args.nmax, budget)
     alg = build(case)
     der = derivations(alg)
     rows = []
     for n in range(args.nmax + 1):
         row = {"n": n}
         if case is CaseTag.DIM7:
-            row["webs"] = len(enumerate_webs(n, 0, budget=max(_budget(), n)))
+            row["webs"] = len(enumerate_webs(n, 0, budget=budget))
         else:
             row["riordan"] = riordan(n)
         if alg.dim ** n <= DIM_LIMITS[args.mode]:

@@ -32,16 +32,8 @@ class RewriteError(RuntimeError):
 MAX_CROSSING_TERMS = 1 << 14
 
 
-_EVAL_CACHE = {}
-
-
 def eval_diagram(d: PlanarDiagram, alg: CrossAlgebra):
-    key = (alg.case, d.canonical_encoding())
-    got = _EVAL_CACHE.get(key)
-    if got is None:
-        got = evaluate(planar_to_word(d), alg)
-        _EVAL_CACHE[key] = got
-    return got
+    return evaluate(planar_to_word(d), alg)
 
 
 def _eval_vector(d, alg):

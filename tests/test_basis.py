@@ -1,3 +1,4 @@
+from cmath import exp, phase, pi
 from itertools import combinations
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from tangleweb.algebra import CaseTag
 from tangleweb.basis import (BudgetError, build_normalized, enumerate_catalan,
                              enumerate_webs, is_basis_diagram,
-                             noncrossing_partitions_min2, riordan)
-from tangleweb.planar import word_to_planar
+                             noncrossing_partitions_min2, riordan, web_vertex_bound)
+from tangleweb.planar import PlanarError, open_boundary, word_to_planar
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate
 
@@ -85,8 +86,67 @@ def test_catalan_families_at_3_3():
 
 
 def test_web_counts():
-    got = [len(enumerate_webs(k, 0, budget=7)) for k in range(7)]
-    assert got == [1, 0, 1, 1, 4, 10, 35]
+    # OEIS A059710: the invariant dimensions of the 7-dimensional G2 module
+    webs = [enumerate_webs(k, 0, budget=7) for k in range(8)]
+    assert [len(w) for w in webs] == [1, 0, 1, 1, 4, 10, 35, 120]
+    assert len(enumerate_webs(4, 3)) == 120
+    # the largest webs meet the vertex bound at k = 6 and 7
+    assert [max(w.vertex_count() for w in webs[k]) for k in (6, 7)] == [6, 7]
+
+
+def test_web_vertex_bound_small_k():
+    assert [web_vertex_bound(k) for k in range(8)] == [0, 0, 0, 1, 2, 3, 6, 7]
+
+
+def hexagon_patch(centers):
+    """The carbon skeleton of the benzenoid whose hexagons have the given
+    centers (axial lattice coordinates), one leg on each vertex of degree 2,
+    as a [k]->[0] diagram."""
+    corners = [exp(1j * pi * (2 * i + 1) / 6) for i in range(6)]
+    points, nbrs = {}, {}
+    for q, r in centers:
+        mid = 3 ** 0.5 * (q + r / 2) + 1.5j * r
+        ring = [points.setdefault((round(z.real, 6), round(z.imag, 6)), z)
+                for z in (mid + c for c in corners)]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+    legs = {z: 3 * z - sum(ns) for z, ns in nbrs.items() if len(ns) == 2}
+    middle = sum(nbrs) / len(nbrs)
+    order = sorted(legs, key=lambda z: phase(z - middle))
+    # the orientation is not guessed: the one embedding in the disk wins
+    for turn in (1, -1):
+        d, bnd = open_boundary(len(order), 0)
+        half = {}
+        for z, ns in nbrs.items():
+            ends = sorted(list(ns) + ([legs[z]] if z in legs else []),
+                          key=lambda w: turn * phase(w - z))
+            hs = [d.new_halfedge() for _ in ends]
+            d.add_vertex(hs)
+            half.update(((z, w), h) for w, h in zip(ends, hs))
+        for (z, w), h in half.items():
+            d.pair(h, half[(w, z)] if w in nbrs else bnd[order.index(z)])
+        try:
+            d.check_valid()
+            return d
+        except PlanarError:
+            continue
+    raise AssertionError("no planar embedding")
+
+
+@pytest.mark.parametrize("centers,k,vertices", [
+    # naphthalene: two hexagons, the largest web at k = 8
+    ([(0, 0), (1, 0)], 8, 10),
+    # pyrene: four hexagons, more than k + 4 vertices
+    ([(0, 0), (1, 0), (0, 1), (1, -1)], 10, 16),
+    # coronene: a hexagon ringed by six
+    ([(0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)], 12, 24),
+])
+def test_web_vertex_bound_admits_benzenoids(centers, k, vertices):
+    web = hexagon_patch(centers)
+    assert (web.n_in, web.n_out, web.vertex_count()) == (k, 0, vertices)
+    assert is_basis_diagram(web, CaseTag.DIM7)
+    assert web_vertex_bound(k) == vertices
 
 
 def test_webs_split_boundary_matches_bent():

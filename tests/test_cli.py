@@ -93,6 +93,18 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: boundary size 4 exceeds budget 3\n"
 
 
+def test_dims_honours_budget_env_var(capsys, monkeypatch):
+    # refused before the derivations or any web search start
+    monkeypatch.setenv("TANGLEWEB_BUDGET", "5")
+    start = time.perf_counter()
+    code = main(["dims", "--case", "dim7", "6"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: boundary size 6 exceeds budget 5\n"
+    assert elapsed < 0.5
+
+
 def test_budget_env_var_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("TANGLEWEB_BUDGET", "abc")
     code = main(["basis", "--case", "dim7", "2", "2"])
