@@ -16,9 +16,10 @@ from .algebra import (CaseTag, build, cayley_hamilton_check, check_axioms,
 from .basis import BudgetError, check_budget, enumerate_catalan, enumerate_webs, riordan
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
-from .oracle import (DIM_LIMITS, check_closed_under_bracket, check_kills_form,
-                     derivations, invariant_dim)
-from .rewrite import RewriteTrace, eval_diagram, normalize, rules_for
+from .oracle import (EXACT_LIMIT, MODP_LIMIT, CertificateError, certified_dim,
+                     check_closed_under_bracket, check_kills_form, derivations,
+                     invariant_dim)
+from .rewrite import RewriteTrace, _eval_vector, eval_diagram, normalize, rules_for
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
 
@@ -96,6 +97,8 @@ def cmd_basis(args):
 
 
 def cmd_dims(args):
+    """Basis counts against invariant dimensions certified with one prime
+    from the evaluations of the same basis diagrams."""
     case = CaseTag(args.case)
     if case is CaseTag.DIM7:
         budget = _budget()
@@ -103,20 +106,26 @@ def cmd_dims(args):
     alg = build(case)
     der = derivations(alg)
     rows = []
+    bad = False
     for n in range(args.nmax + 1):
         row = {"n": n}
         if case is CaseTag.DIM7:
-            row["webs"] = len(enumerate_webs(n, 0, budget=budget))
+            webs = enumerate_webs(n, 0, budget=budget)
+            row["webs"] = count = len(webs)
         else:
-            row["riordan"] = riordan(n)
-        if alg.dim ** n <= DIM_LIMITS[args.mode]:
-            row["invariant_dim"] = invariant_dim(alg, n, mode=args.mode,
-                                                 seed=args.seed, der=der)
+            row["riordan"] = count = riordan(n)
+        if alg.dim ** n <= MODP_LIMIT:
+            diagrams = (webs if case is CaseTag.DIM7
+                        else [t.diagram for t in enumerate_catalan(n, 0)])
+            vectors = [_eval_vector(d, alg) for d in diagrams]
+            try:
+                row["invariant_dim"] = certified_dim(alg, n, vectors, der=der)
+            except CertificateError as exc:
+                row["refused"] = str(exc)
+            bad |= row.get("invariant_dim") != count
         rows.append(row)
     print(json.dumps({"case": case.value, "rows": rows},
                      indent=None if args.json else 2))
-    bad = [r for r in rows if "invariant_dim" in r
-           and r["invariant_dim"] != r.get("webs", r.get("riordan"))]
     return 1 if bad else 0
 
 
@@ -135,10 +144,9 @@ def cmd_oracle(args):
     der = derivations(alg)
     rows = []
     for n in range(args.nmax + 1):
-        if alg.dim ** n > DIM_LIMITS[args.mode]:
+        if alg.dim ** n > EXACT_LIMIT:
             break
-        rows.append({"n": n, "invariant_dim":
-                     invariant_dim(alg, n, mode=args.mode, seed=args.seed, der=der)})
+        rows.append({"n": n, "invariant_dim": invariant_dim(alg, n, der=der)})
     print(json.dumps({
         "case": alg.case.value,
         "derivation_dim": der.dim,
@@ -191,8 +199,6 @@ def cmd_verify(args):
 def main(argv=None):
     top = argparse.ArgumentParser(prog="tangleweb")
     top.add_argument("--json", action="store_true", help="compact JSON output")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--mode", choices=("exact", "modp"), default="exact")
     top.add_argument("--trace", action="store_true")
     sub = top.add_subparsers(dest="cmd", required=True)
 

@@ -4,11 +4,14 @@ Everything diagrammatic in this package is cross-checked here: derivation
 algebras are found by solving the Leibniz linear system from scratch, the
 invariant dimensions are joint-kernel ranks of the derivation action on
 tensor powers, and equivariance of tensor maps is checked entry-exactly.
+
+invariant_dim is the diagram-free exact reference, a rank over Q;
+certified_dim certifies a dimension with the one prime PRIME, bounding it
+from above by the action and from below by the caller's invariant vectors.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -17,8 +20,22 @@ from .basis import BudgetError
 from .linalg import nullspace, sparse_rank
 from .tensor import TensorMap, compose
 
-# largest dim^n whose invariant dimension each rank mode computes
-DIM_LIMITS = {"exact": 20000, "modp": 120000}
+# largest dim^n whose invariant dimension invariant_dim computes over Q
+EXACT_LIMIT = 20000
+# largest dim^n whose invariant dimension certified_dim certifies mod PRIME
+MODP_LIMIT = 120000
+# one fixed prime below 2^31; odd, because kap's denominators are powers of 2
+PRIME = 2147483629
+
+
+class CertificateError(ArithmeticError):
+    """The two ends of a one-prime certificate differ."""
+
+    def __init__(self, n, lower, upper):
+        super().__init__(f"invariant dimension at n = {n} not certified: "
+                         f"lower end {lower}, upper end {upper}")
+        self.lower = lower
+        self.upper = upper
 
 
 class DerivationAlgebra:
@@ -135,78 +152,38 @@ def check_kills_form(der: DerivationAlgebra) -> bool:
     return True
 
 
-def _lie_generators(der: DerivationAlgebra):
-    """A small subset generating the algebra under brackets (used to cut the
-    row count of the tensor-power action; the joint kernel is unchanged)."""
-    n = der.dim
-    if n <= 3:
-        return list(range(n))
-    rows = [_flatten(m) for m in der.mats]
-    full = sparse_rank(rows, mod=None)
-
-    def closure_rank(idxs):
-        span = [der.mats[i] for i in idxs]
-        pars = [der.parities[i] for i in idxs]
-        vecs = [_flatten(m) for m in span]
-        rank = sparse_rank(vecs, mod=None)
-        frontier = list(range(len(span)))
-        while True:
-            new = []
-            for i in frontier:
-                for j in range(len(span)):
-                    br = bracket(span[i], span[j], pars[i], pars[j])
-                    fv = _flatten(br)
-                    if not fv:
-                        continue
-                    r2 = sparse_rank(vecs + [fv], mod=None)
-                    if r2 > rank:
-                        rank = r2
-                        span.append(br)
-                        pars.append((pars[i] + pars[j]) % 2)
-                        vecs.append(fv)
-                        new.append(len(span) - 1)
-                        if rank == full:
-                            return rank
-            if not new:
-                return rank
-            frontier = new
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if closure_rank([i, j]) == full:
-                return [i, j]
-    return list(range(n))
-
-
-_GEN_CACHE = {}
-
-
 def _action_rows(der, which, n):
     """Koszul-signed action of derivation basis element `which` on V^(x)n:
     yields (alpha, {flat beta: coeff}) for each input index alpha in
-    lexicographic order, flat beta being beta's position in that order."""
+    lexicographic order, flat beta being beta's position in that order.
+
+    The flat index of alpha with slot k changed from alpha[k] to a is
+    base + powers[k] * (a - alpha[k]), base being alpha's own position, so
+    each entry costs one addition; the per-slot offsets are tabled once."""
     alg = der.alg
     D = der.mats[which]
     dp = der.parities[which]
     par = alg.parity
     d = alg.dim
-    cols = {b: [(a, D[a][b]) for a in range(d) if D[a][b]] for b in range(d)}
     powers = [d ** i for i in range(n)][::-1]
-    for alpha in product(range(d), repeat=n):
+    # shift[k][b]: (offset, coeff) for each nonzero D[a][b], acting in slot k
+    shift = [[[(p * (a - b), D[a][b]) for a in range(d) if D[a][b]]
+              for b in range(d)] for p in powers]
+    # the same with the coefficient negated, for an odd D past an odd prefix
+    neg = [[[(off, -c) for off, c in col] for col in slot] for slot in shift]
+    for base, alpha in enumerate(product(range(d), repeat=n)):
         row = {}
-        for k in range(n):
-            for a, c in cols[alpha[k]]:
-                s = c
-                if dp:
-                    pre = sum(par[alpha[t]] for t in range(k)) & 1
-                    if pre:
-                        s = -s
-                flat = sum(powers[t] * (alpha[t] if t != k else a) for t in range(n))
-                v = row.get(flat, 0) + s
+        odd = 0
+        for k, b in enumerate(alpha):
+            for off, c in (neg if odd else shift)[k][b]:
+                flat = base + off
+                v = row.get(flat, 0) + c
                 if v:
                     row[flat] = v
                 elif flat in row:
                     del row[flat]
+            if dp and par[b]:
+                odd ^= 1
         yield alpha, row
 
 
@@ -220,71 +197,48 @@ def action_matrix(der: DerivationAlgebra, which: int, n: int):
     return TensorMap(der.alg, n, n, entries)
 
 
-def invariant_dim(alg: CrossAlgebra, n: int, mode="exact", seed=0,
+def _all_action_rows(der, n):
+    for which in range(der.dim):
+        for _, row in _action_rows(der, which, n):
+            if row:
+                yield row
+
+
+def invariant_dim(alg: CrossAlgebra, n: int,
                   der: DerivationAlgebra | None = None) -> int:
-    """Dimension of the invariants of V^(x)n under the derivation algebra."""
-    d = alg.dim
-    if mode not in DIM_LIMITS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if d ** n > DIM_LIMITS[mode]:
-        raise BudgetError(f"dim^n = {d**n} too large for {mode} mode")
+    """Dimension of the invariants of V^(x)n under the derivation algebra:
+    dim^n minus the exact rank over Q of the action of every derivation
+    basis element.  Needs no diagrams; refused past EXACT_LIMIT."""
+    if alg.dim ** n > EXACT_LIMIT:
+        raise BudgetError(f"dim^n = {alg.dim ** n} exceeds the exact limit "
+                          f"of {EXACT_LIMIT}")
     if der is None:
         der = derivations(alg)
-    key = alg.case
-    gens = _GEN_CACHE.get(key)
-    if gens is None:
-        gens = _lie_generators(der)
-        _GEN_CACHE[key] = gens
-
-    def all_rows():
-        for which in gens:
-            for _, row in _action_rows(der, which, n):
-                if row:
-                    yield row
-
-    if mode == "exact":
-        rank = sparse_rank(all_rows(), mod=None)
-        return d ** n - rank
-    rng = random.Random(seed)
-    for _attempt in range(3):
-        primes = _fresh_primes(rng, 3)
-        ranks = [sparse_rank(all_rows(), mod=p) for p in primes]
-        if len(set(ranks)) == 1:
-            return d ** n - ranks[0]
-    raise RuntimeError("mod-p ranks disagree after retries")
+    return alg.dim ** n - sparse_rank(_all_action_rows(der, n), mod=None)
 
 
-def _fresh_primes(rng, count):
-    out = []
-    while len(out) < count:
-        c = rng.randrange(2 ** 30, 2 ** 31)
-        if _is_prime(c) and c not in out:
-            out.append(c)
-    return out
+def certified_dim(alg: CrossAlgebra, n: int, vectors,
+                  der: DerivationAlgebra | None = None) -> int:
+    """Dimension of the invariants of V^(x)n, certified with the prime PRIME.
 
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    dd = n - 1
-    r = 0
-    while dd % 2 == 0:
-        dd //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, dd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    `vectors` are invariant tensors of V^(x)n as {flat index: coeff} dicts,
+    such as evaluated basis diagrams (`rewrite._eval_vector`).  For
+    p-integral rows the rank mod p is at most the rank over Q, so
+    dim^n - rank_p(action) bounds the dimension from above and
+    rank_p(vectors) from below.  Returns the dimension when the two ends
+    meet and raises CertificateError naming both when they do not.
+    Refused past MODP_LIMIT.
+    """
+    if alg.dim ** n > MODP_LIMIT:
+        raise BudgetError(f"dim^n = {alg.dim ** n} exceeds the mod-p limit "
+                          f"of {MODP_LIMIT}")
+    if der is None:
+        der = derivations(alg)
+    lower = sparse_rank(vectors, mod=PRIME)
+    upper = alg.dim ** n - sparse_rank(_all_action_rows(der, n), mod=PRIME)
+    if lower != upper:
+        raise CertificateError(n, lower, upper)
+    return upper
 
 
 def equivariance_check(f: TensorMap, der: DerivationAlgebra | None = None) -> bool:

@@ -30,6 +30,10 @@ class RewriteError(RuntimeError):
 # each crossing multiplies them by len(crossing_terms), up to 4.  The
 # library's own largest is 3^7 (a kap Brauer word at n = 4).
 MAX_CROSSING_TERMS = 1 << 14
+# strands one input word may have at any slice boundary (TangleWord.width):
+# normalizing costs time linear in them even for an identity (200,000
+# strands took ~10 s).  The widest word the test suite normalizes has 60.
+MAX_STRANDS = 1 << 10
 
 
 def eval_diagram(d: PlanarDiagram, alg: CrossAlgebra):
@@ -407,7 +411,11 @@ class RewriteTrace:
 # ------------------------------------------------------------------ engine
 
 def _word_terms_without_crossings(word: TangleWord, rules: RuleSet):
-    """Expand every crossing via the derived switch rule."""
+    """Expand every crossing via the derived switch rule, once the word is
+    within MAX_STRANDS and MAX_CROSSING_TERMS."""
+    if word.width > MAX_STRANDS:
+        raise BudgetError(f"the word has {word.width} strands, over the budget "
+                          f"of {MAX_STRANDS}")
     crossings = sum(slice_.count(Generator.CROSS) for slice_ in word.slices)
     terms = len(rules.crossing_terms) ** crossings
     if terms > MAX_CROSSING_TERMS:

@@ -35,7 +35,7 @@ class WordError(ValueError):
 class TangleWord:
     """Immutable word: slices run from the inputs (top) to the outputs."""
 
-    __slots__ = ("n_in", "n_out", "slices", "_hash")
+    __slots__ = ("n_in", "n_out", "slices", "width", "_hash")
 
     def __init__(self, n_in, n_out, slices):
         self.n_in = int(n_in)
@@ -45,18 +45,23 @@ class TangleWord:
         self.validate()
 
     def validate(self):
+        """Check the arity chain and record `width`, the most strands at any
+        slice boundary."""
         if self.n_in < 0 or self.n_out < 0:
             raise WordError("negative arity")
-        cur = self.n_in
+        cur = width = self.n_in
         for k, slice_ in enumerate(self.slices):
             need = sum(g.n_in for g in slice_)
             if need != cur:
                 raise WordError(f"slice {k}: consumes {need} strands, {cur} available")
             cur = sum(g.n_out for g in slice_)
+            if cur > width:
+                width = cur
         if cur != self.n_out:
             raise WordError(f"word ends with {cur} strands, declared {self.n_out}")
         if not self.slices and self.n_in != self.n_out:
             raise WordError("empty word must have equal arities")
+        self.width = width
 
     def __eq__(self, other):
         return (isinstance(other, TangleWord) and self.n_in == other.n_in

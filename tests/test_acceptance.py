@@ -13,7 +13,7 @@ from tangleweb.algebra import CaseTag, build, check_axioms
 from tangleweb.basis import enumerate_catalan, enumerate_webs, riordan
 from tangleweb.centralizer import brauer_map, matrix_model
 from tangleweb.grassmann import super_pfaffian_check
-from tangleweb.oracle import derivations, invariant_dim
+from tangleweb.oracle import certified_dim, derivations, invariant_dim
 from tangleweb.rewrite import (_eval_vector, _gon_pattern, eval_diagram,
                                normalize, rules_for)
 from tangleweb.tangle import parse_word
@@ -189,23 +189,20 @@ def test_criterion_6_counting(algebras):
 
 
 def test_criterion_7_g2_dimensions(algebras):
+    # each dimension certified with one prime: the action bounds it from
+    # above, the rank of the webs' evaluations from below
     t0 = time.time()
     alg = algebras[CaseTag.DIM7]
     der = derivations(alg)
     ok = True
-    expected = [1, 0, 1, 1, 4, 10]
-    for k in range(6):
-        webs = len(enumerate_webs(k, 0, budget=7))
-        inv = invariant_dim(alg, k, mode="exact", der=der)
-        if webs != expected[k] or inv != expected[k]:
+    expected = [1, 0, 1, 1, 4, 10, 35]
+    for k in range(7):
+        webs = enumerate_webs(k, 0, budget=7)
+        inv = certified_dim(alg, k, [_eval_vector(w, alg) for w in webs], der=der)
+        if len(webs) != expected[k] or inv != expected[k]:
             ok = False
-            print(f"  mismatch at k={k}: webs={webs} inv={inv}")
-    webs6 = len(enumerate_webs(6, 0, budget=7))
-    inv6 = invariant_dim(alg, 6, mode="modp", seed=7, der=der)
-    if not (webs6 == inv6 == 35):
-        ok = False
-        print(f"  mismatch at k=6: webs={webs6} inv={inv6}")
-    announce(7, "web counts equal oracle invariant dimensions through k=6", ok,
+            print(f"  mismatch at k={k}: webs={len(webs)} inv={inv}")
+    announce(7, "web counts equal certified invariant dimensions through k=6", ok,
              f"{time.time()-t0:.1f}s")
 
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from tangleweb import cli
 from tangleweb.algebra import CaseTag, build
 from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
@@ -81,6 +82,41 @@ def test_dims_agreement(capsys):
     assert all(r["invariant_dim"] == r["riordan"] for r in obj["rows"])
 
 
+def test_dims_certifies_every_row(capsys):
+    # kap's denominators are powers of 2, which the one prime must not divide
+    code, out = run(capsys, "--json", "dims", "--case", "kap", "5")
+    obj = json.loads(out)
+    assert code == 0
+    assert [r["invariant_dim"] for r in obj["rows"]] == [1, 0, 1, 1, 3, 6]
+    assert all(r["invariant_dim"] == r["riordan"] for r in obj["rows"])
+
+
+@pytest.mark.parametrize("edit, refused", [
+    (lambda webs: webs[1:], True),             # lower end 3, upper end 4
+    (lambda webs: webs + webs[:1], False),     # certified 4, counted 5
+])
+def test_dims_exit_1_on_a_wrong_basis(capsys, monkeypatch, edit, refused):
+    real = cli.enumerate_webs
+    monkeypatch.setattr(cli, "enumerate_webs",
+                        lambda n, m, budget: edit(real(n, m, budget=budget)))
+    code = main(["--json", "dims", "--case", "dim7", "4"])
+    captured = capsys.readouterr()
+    last = json.loads(captured.out)["rows"][-1]
+    assert code == 1 and captured.err == ""
+    assert ("refused" in last) == refused
+    if refused:
+        assert "lower end 3, upper end 4" in last["refused"]
+    else:
+        assert (last["webs"], last["invariant_dim"]) == (5, 4)
+
+
+@pytest.mark.parametrize("flag", [["--mode", "exact"], ["--seed", "3"]])
+def test_removed_rank_flags_are_usage_errors(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(flag + ["oracle", "--case", "dim3", "2"])
+    assert exc.value.code == 2
+
+
 def test_budget_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TANGLEWEB_BUDGET", "4")
     code, out = run(capsys, "--json", "basis", "--case", "dim7", "2", "2")
@@ -135,6 +171,19 @@ def test_normalize_over_crossing_budget_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 0.5
+
+
+def test_normalize_over_strand_budget_exit_2(tmp_path, capsys):
+    # 200,000 strands: refused before the word becomes a planar diagram
+    f = word_file(tmp_path, "tangle 200000 -> 200000")
+    rules_for(build(CaseTag.DIM3))      # rule derivation is per-process set-up
+    start = time.perf_counter()
+    code = main(["normalize", "--case", "dim3", f])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the word has 200000 strands, over the budget of 1024\n"
     assert elapsed < 0.5
 
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tangleweb.basis import riordan
-from tangleweb.oracle import (BudgetError, action_matrix, check_closed_under_bracket,
+from tangleweb.basis import basis_diagrams, riordan
+from tangleweb.oracle import (BudgetError, CertificateError, action_matrix,
+                              certified_dim, check_closed_under_bracket,
                               check_kills_form, derivations, equivariance_check,
                               invariant_dim)
+from tangleweb.rewrite import _eval_vector
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import TensorMap, evaluate, identity_map
 
@@ -63,18 +65,38 @@ def test_invariant_dims_dim7_small(dim7):
     assert got == [1, 0, 1, 1]
 
 
-def test_modp_matches_exact(dim3, kap):
-    for alg in (dim3, kap):
-        for n in (3, 4):
-            assert (invariant_dim(alg, n, mode="modp", seed=5)
-                    == invariant_dim(alg, n))
+def basis_vectors(alg, n):
+    return [_eval_vector(d, alg) for d in basis_diagrams(alg.case, n, 0)]
+
+
+@pytest.mark.parametrize("case, kmax", [("dim3", 6), ("kap", 6), ("dim7", 4)])
+def test_certified_matches_exact(request, case, kmax):
+    alg = request.getfixturevalue(case)
+    der = derivations(alg)
+    for n in range(kmax + 1):
+        assert (certified_dim(alg, n, basis_vectors(alg, n), der=der)
+                == invariant_dim(alg, n, der=der)), (case, n)
+
+
+def test_certificate_refuses_a_missing_web(dim7):
+    vectors = basis_vectors(dim7, 5)
+    with pytest.raises(CertificateError) as exc:
+        certified_dim(dim7, 5, vectors[1:])
+    assert (exc.value.lower, exc.value.upper) == (9, 10)
+    assert "lower end 9, upper end 10" in str(exc.value)
+
+
+def test_duplicated_web_miscounts(dim7):
+    # the certificate still holds, so the count is what disagrees
+    vectors = basis_vectors(dim7, 4)
+    assert certified_dim(dim7, 4, vectors + vectors[:1]) == 4 != len(vectors) + 1
 
 
 def test_budget_errors(dim7):
     with pytest.raises(BudgetError):
-        invariant_dim(dim7, 6, mode="exact")
+        invariant_dim(dim7, 6)
     with pytest.raises(BudgetError):
-        invariant_dim(dim7, 7, mode="modp")
+        certified_dim(dim7, 7, [])
 
 
 def test_equivariance_of_evaluated_words(all_algebras):

@@ -290,3 +290,11 @@ def test_crossing_expansion_budget(dim3, monkeypatch):
     normalize(parse_word("tangle 2 -> 2 / x / x"), dim3)
     with pytest.raises(BudgetError):
         normalize(parse_word("tangle 2 -> 2 / x / x / x"), dim3)
+
+
+def test_strand_budget(dim3, monkeypatch):
+    # the widest slice boundary counts, not only the two ends
+    monkeypatch.setattr(rewrite, "MAX_STRANDS", 4)
+    normalize(parse_word("tangle 2 -> 2 / cup, id, id / cap, id, id"), dim3)
+    with pytest.raises(BudgetError):
+        normalize(parse_word("tangle 2 -> 2 / cup, cup, id, id / cap, cap, id, id"), dim3)

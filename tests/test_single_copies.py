@@ -18,3 +18,9 @@ def test_one_fraction_formatter():
     hits = [p.name for p in sorted(SRC.glob("*.py"))
             for line in p.read_text().splitlines() if pattern in line]
     assert hits == ["algebra.py"]
+
+
+def test_one_rank_path():
+    for name in ("_is_prime", "_fresh_primes", "_lie_generators", "_GEN_CACHE",
+                 "random", "DIM_LIMITS"):
+        assert not hasattr(oracle, name), name
