@@ -18,7 +18,7 @@ from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
 from .oracle import (EXACT_LIMIT, MODP_LIMIT, CertificateError, certified_dim,
                      check_closed_under_bracket, check_kills_form, derivations,
-                     invariant_dim)
+                     invariant_dim, zero_grade)
 from .rewrite import RewriteTrace, _eval_vector, eval_diagram, normalize, rules_for
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
@@ -146,7 +146,8 @@ def cmd_oracle(args):
     for n in range(args.nmax + 1):
         if alg.dim ** n > EXACT_LIMIT:
             break
-        rows.append({"n": n, "invariant_dim": invariant_dim(alg, n, der=der)})
+        rows.append({"n": n, "invariant_dim": invariant_dim(alg, n, der=der),
+                     "columns": len(zero_grade(der, n))})
     print(json.dumps({
         "case": alg.case.value,
         "derivation_dim": der.dim,

@@ -110,6 +110,18 @@ def test_dims_exit_1_on_a_wrong_basis(capsys, monkeypatch, edit, refused):
         assert (last["webs"], last["invariant_dim"]) == (5, 4)
 
 
+def test_oracle_rows_report_zero_grade_columns(capsys):
+    code, out = run(capsys, "--json", "oracle", "--case", "dim7", "3")
+    rows = json.loads(out)["invariants"]
+    assert code == 0
+    assert [(r["invariant_dim"], r["columns"]) for r in rows] == [(1, 1), (0, 0), (1, 7), (1, 42)]
+    code, out = run(capsys, "--json", "oracle", "--case", "kap", "4")
+    rows = json.loads(out)["invariants"]
+    assert code == 0
+    assert [(r["invariant_dim"], r["columns"]) for r in rows] == [(1, 1), (0, 1), (1, 3), (1, 7),
+                                                                  (3, 19)]
+
+
 @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--seed", "3"]])
 def test_removed_rank_flags_are_usage_errors(flag):
     with pytest.raises(SystemExit) as exc:

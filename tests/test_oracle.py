@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from tangleweb.basis import basis_diagrams, riordan
-from tangleweb.oracle import (BudgetError, CertificateError, action_matrix,
-                              certified_dim, check_closed_under_bracket,
-                              check_kills_form, derivations, equivariance_check,
-                              invariant_dim)
+from tangleweb.linalg import sparse_rank
+from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
+                              action_matrix, certified_dim,
+                              check_closed_under_bracket, check_kills_form,
+                              derivations, equivariance_check, invariant_dim,
+                              zero_grade)
 from tangleweb.rewrite import _eval_vector
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import TensorMap, evaluate, identity_map
@@ -24,6 +27,17 @@ def test_derivations_structure(all_algebras):
         der = derivations(alg)
         assert check_closed_under_bracket(der)
         assert check_kills_form(der)
+
+
+def test_bracket_closure_detects_a_dropped_element(all_algebras):
+    # without basis element 2 the brackets leave the span (for dim3 and kap
+    # it is [D_0, D_1] itself, up to a scalar)
+    for alg in all_algebras:
+        der = derivations(alg)
+        keep = [i for i in range(der.dim) if i != 2]
+        part = DerivationAlgebra(alg, [der.mats[i] for i in keep],
+                                 [der.parities[i] for i in keep])
+        assert not check_closed_under_bracket(part), alg.case
 
 
 def test_leibniz_holds_on_basis(kap):
@@ -76,6 +90,94 @@ def test_certified_matches_exact(request, case, kmax):
     for n in range(kmax + 1):
         assert (certified_dim(alg, n, basis_vectors(alg, n), der=der)
                 == invariant_dim(alg, n, der=der)), (case, n)
+
+
+def reference_dim(alg, n, der):
+    """dim^n minus the exact rank of the full action of every derivation,
+    its rows read off action_matrix: no grading anywhere."""
+    rows = []
+    for which in range(der.dim):
+        images = {}
+        for (out, inp), c in action_matrix(der, which, n).entries.items():
+            images.setdefault(inp, {})[out] = c
+        rows.extend(images.values())
+    return alg.dim ** n - sparse_rank(rows, mod=None)
+
+
+def upper_end(alg, n, der):
+    """certified_dim's upper end: with no vectors the lower end is 0."""
+    try:
+        return certified_dim(alg, n, [], der=der)
+    except CertificateError as exc:
+        return exc.upper
+
+
+def unimodular_mix(der):
+    """The basis mixed within each parity by an integer unimodular matrix:
+    element i becomes D_i + D_(i+1), the last one D_last + D_0 + D_1 (the
+    unit bidiagonal matrix, then its first row added to its last)."""
+    d = der.alg.dim
+    mats, parities = [], []
+    for p in sorted(set(der.parities)):
+        group = [m for m, q in zip(der.mats, der.parities) if q == p]
+        rows = [[int(j in (i, i + 1)) for j in range(len(group))] for i in range(len(group))]
+        rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
+        for row in rows:
+            mats.append([[sum(c * m[a][b] for c, m in zip(row, group)) for b in range(d)]
+                         for a in range(d)])
+            parities.append(p)
+    return DerivationAlgebra(der.alg, mats, parities)
+
+
+def flat(alpha, d):
+    return sum(a * d ** (len(alpha) - 1 - k) for k, a in enumerate(alpha))
+
+
+@pytest.mark.parametrize("case, kmax", [("dim3", 6), ("kap", 6), ("dim7", 4)])
+def test_graded_rank_matches_full_space_reference(request, case, kmax):
+    alg = request.getfixturevalue(case)
+    der = derivations(alg)
+    for n in range(kmax + 1):
+        want = reference_dim(alg, n, der)
+        assert invariant_dim(alg, n, der=der) == want, (case, n)
+        assert upper_end(alg, n, der) == want, (case, n)
+
+
+@pytest.mark.parametrize("case", ["dim3", "kap", "dim7"])
+def test_mixed_basis_takes_the_ungraded_path(request, case):
+    alg = request.getfixturevalue(case)
+    der = derivations(alg)
+    mixed = unimodular_mix(der)
+    for n in range(5):
+        # no diagonal or rotation element is left, so nothing is graded away
+        assert len(zero_grade(mixed, n)) == alg.dim ** n
+        want = reference_dim(alg, n, der)
+        assert invariant_dim(alg, n, der=mixed) == want, (case, n)
+        assert upper_end(alg, n, mixed) == want, (case, n)
+
+
+@pytest.mark.parametrize("case, kmax", [("dim3", 6), ("kap", 6), ("dim7", 5)])
+def test_basis_evaluations_lie_in_zero_grade(request, case, kmax):
+    alg = request.getfixturevalue(case)
+    der = derivations(alg)
+    for n in range(kmax + 1):
+        g0 = set(zero_grade(der, n))
+        for v in basis_vectors(alg, n):
+            assert {flat(alpha, alg.dim) for alpha in v} <= g0, (case, n)
+
+
+def test_zero_grade_counts_match_closed_forms(dim3, dim7, kap):
+    # dim7: the octonions' Z/2^3-grading, each basis vector in its own
+    # nonzero grade; dim3: a Z/2^2-grading; kap: the weights -1, 0, 1
+    counts = {alg.case.value: [len(zero_grade(derivations(alg), k)) for k in range(8)]
+              for alg in (dim3, kap)}
+    der7 = derivations(dim7)
+    counts["dim7"] = [len(zero_grade(der7, k)) for k in range(7)]
+    assert counts["dim7"] == [(7 ** k + 7 * (-1) ** k) // 8 for k in range(7)]
+    assert counts["dim3"] == [(3 ** k + 3 * (-1) ** k) // 4 for k in range(8)]
+    assert counts["kap"] == [sum(comb(k, 2 * j) * comb(2 * j, j) for j in range(k // 2 + 1))
+                             for k in range(8)]
+    assert (counts["dim7"][5], counts["dim3"][7], counts["kap"][7]) == (2100, 546, 393)
 
 
 def test_certificate_refuses_a_missing_web(dim7):
