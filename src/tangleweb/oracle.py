@@ -303,14 +303,19 @@ def _all_action_rows(der, n):
     grade delta, and no other alpha gives a row.  A homogeneous D_i has one
     part.  A non-homogeneous one, or a basis with no grading element (every
     grade zero, G0 everything), goes through the same loop and yields every
-    row D_i e_alpha."""
+    row D_i e_alpha.
+
+    The rows are integer rows: each D_i acts scaled once by
+    clear_denominators.  A nonzero multiple of D_i has the same kernel and
+    the same row span, so the rank over Q is unchanged; the scaled rows are
+    still p-integral, so mod p they still bound the rank over Q from below."""
     index = _index_grades(der)
     classes, zero = _grade_classes(index, n)
 
     def rows():
         for mat, dp in zip(der.mats, der.parities):
             parts = {}
-            for (a, b), c in _entries(mat).items():
+            for (a, b), c in clear_denominators(_entries(mat)).items():
                 parts.setdefault(_add_grade(index[b], index[a], -1), {})[a, b] = c
             for delta, part in parts.items():
                 alphas = classes.get(delta, ())

@@ -115,11 +115,12 @@ def test_oracle_rows_report_zero_grade_columns(capsys):
     rows = json.loads(out)["invariants"]
     assert code == 0
     assert [(r["invariant_dim"], r["columns"]) for r in rows] == [(1, 1), (0, 0), (1, 7), (1, 42)]
-    code, out = run(capsys, "--json", "oracle", "--case", "kap", "4")
+    code, out = run(capsys, "--json", "oracle", "--case", "kap", "8")
     rows = json.loads(out)["invariants"]
     assert code == 0
-    assert [(r["invariant_dim"], r["columns"]) for r in rows] == [(1, 1), (0, 1), (1, 3), (1, 7),
-                                                                  (3, 19)]
+    assert [(r["invariant_dim"], r["columns"]) for r in rows[:5]] == [(1, 1), (0, 1), (1, 3),
+                                                                      (1, 7), (3, 19)]
+    assert rows[8] == {"n": 8, "invariant_dim": 91, "columns": 1107}
 
 
 @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--seed", "3"]])

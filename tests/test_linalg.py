@@ -1,5 +1,6 @@
 """Property tests for the dense exact elimination, checked against the
-independent sparse rank path."""
+independent sparse rank path, and for the sparse rank, checked against
+dense references over Q and over GF(p)."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleweb.linalg import invert_matrix, nullspace, solve_exact, sparse_rank
+from tangleweb.linalg import invert_matrix, nullspace, rref, solve_exact, sparse_rank
 
 # zeros are drawn often so that singular and inconsistent systems show up
 SCALARS = st.one_of(st.just(Fraction(0)),
@@ -82,3 +83,73 @@ def test_nullspace_is_killed_and_complements_rank(shape):
         assert not any(mat_vec(rows, v))
     assert rank(basis) == len(basis)
     assert rank(rows) + len(basis) == ncols
+
+
+# a prime small enough that ranks mod p often differ from ranks over Q
+SMALL_PRIME = 3
+
+
+def modp_rank(rows, ncols, p):
+    """Dense Gaussian elimination over GF(p): the reference for mod-p ranks."""
+    mat = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+# base-row entries: mostly zeros, small integers, and Fractions whose
+# denominators are prime to SMALL_PRIME
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-5, 4)])
+COEFFS = st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(-2, 5)])
+
+
+@st.composite
+def dependent_rows(draw):
+    """(ncols, dense rows): many rows that are integer or rational
+    combinations of a few sparse base rows, shuffled among a few free ones."""
+    ncols = draw(st.integers(1, 10))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(row, max_size=2))
+    for _ in range(draw(st.integers(0, 14))):
+        coeffs = draw(st.lists(COEFFS, min_size=len(base), max_size=len(base)))
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0))
+                     for j in range(ncols)])
+    return ncols, draw(st.permutations(rows))
+
+
+@st.composite
+def full_rank_rows(draw):
+    """(n, dense rows): an invertible n x n matrix, unit lower triangular
+    times unit upper triangular, so nearly every entry is nonzero."""
+    n = draw(st.integers(1, 7))
+    nums = st.integers(-4, 4)
+    low = [[1 if i == j else draw(nums) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else draw(nums) if j > i else 0 for j in range(n)] for i in range(n)]
+    return n, [[Fraction(sum(low[i][k] * up[k][j] for k in range(n))) for j in range(n)]
+               for i in range(n)]
+
+
+def sparse_rows(rows):
+    """The rows as a one-shot generator of sparse dicts."""
+    return ({j: v for j, v in enumerate(r) if v} for r in rows)
+
+
+@SEEDED
+@given(st.one_of(dependent_rows(), full_rank_rows()))
+def test_sparse_rank_matches_dense_references(shape):
+    ncols, rows = shape
+    assert sparse_rank(sparse_rows(rows)) == len(rref(rows, ncols)[1])
+    assert (sparse_rank(sparse_rows(rows), mod=SMALL_PRIME)
+            == modp_rank(rows, ncols, SMALL_PRIME))

@@ -6,7 +6,7 @@ import pytest
 from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.linalg import sparse_rank
 from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
-                              action_matrix, certified_dim,
+                              _all_action_rows, action_matrix, certified_dim,
                               check_closed_under_bracket, check_kills_form,
                               derivations, equivariance_check, invariant_dim,
                               zero_grade)
@@ -67,10 +67,36 @@ def test_leibniz_holds_on_basis(kap):
 
 
 def test_invariant_dims_3dim(dim3, kap):
+    # up to k = 8: 1,641 (dim3) and 1,107 (kap) zero-grade columns, exact over Q
     for alg in (dim3, kap):
         der = derivations(alg)
-        for n in range(6):
+        for n in range(9):
             assert invariant_dim(alg, n, der=der) == riordan(n), (alg.case, n)
+
+
+def scaled(der):
+    """The basis with each even element scaled by 2/3 and each odd one by
+    1/5.  The weights of a diagonal element survive the scaling, the
+    rotations (X^3 = -X) do not, so dim3 and dim7 lose their grading."""
+    mats = [[[(Fraction(1, 5) if p else Fraction(2, 3)) * v for v in row] for row in m]
+            for m, p in zip(der.mats, der.parities)]
+    return DerivationAlgebra(der.alg, mats, der.parities)
+
+
+def test_scaled_basis_keeps_the_dims(all_algebras):
+    for alg in all_algebras:
+        der = derivations(alg)
+        for n in range(6):
+            assert (invariant_dim(alg, n, der=scaled(der))
+                    == invariant_dim(alg, n, der=der)), (alg.case, n)
+
+
+def test_action_rows_are_integer_rows(all_algebras):
+    for alg in all_algebras:
+        der = derivations(alg)
+        for d in (der, scaled(der)):
+            _, rows = _all_action_rows(d, 3)
+            assert all(type(v) is int for row in rows for v in row.values()), alg.case
 
 
 def test_invariant_dims_dim7_small(dim7):
