@@ -11,8 +11,7 @@ from .basis import enumerate_catalan, enumerate_webs, is_basis_diagram, riordan
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .oracle import derivations, equivariance_check, invariant_dim
 from .planar import PlanarDiagram, planar_to_word, word_to_planar
-from .rewrite import (RewriteTrace, derive_crossing_rule, normalize,
-                      normalize_g2, normalize_so3, normalize_super)
+from .rewrite import RewriteTrace, normalize
 from .tangle import (Generator, LinComb, TangleWord, compose_tangles,
                      disjoint_union, parse_word, phi_tangle, psi_tangle,
                      transpose_tangle)

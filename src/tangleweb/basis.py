@@ -18,6 +18,12 @@ class BudgetError(ValueError):
     pass
 
 
+# Catalan diagrams one request may build or count: riordan(15) = 83,097 is
+# within it, riordan(16) = 227,475 is not.  The library's own largest
+# enumeration is riordan(10) = 603.
+MAX_DIAGRAMS = 100_000
+
+
 def riordan(n: int) -> int:
     """a(0)=1, a(1)=0, a(n) = (n-1)(2a(n-1) + 3a(n-2)) / (n+1), exactly."""
     if n < 0:
@@ -115,6 +121,7 @@ def enumerate_catalan(n: int, m: int):
     """All normalized tangles [n] -> [m]; count equals riordan(n+m)."""
     _check_arities(n, m)
     k = n + m
+    check_catalan_budget(k)
     out = []
     for blocks in noncrossing_partitions_min2(k):
         blocks_t = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -129,6 +136,17 @@ def check_budget(k: int, budget: int):
     """Refuse a web search over a boundary of size k past the budget."""
     if k > budget:
         raise BudgetError(f"boundary size {k} exceeds budget {budget}")
+
+
+def check_catalan_budget(k: int):
+    """Refuse a request whose Catalan diagrams on k points number more than
+    MAX_DIAGRAMS.  Riordan numbers never decrease after riordan(1), so the
+    scan stops at the first one over the budget instead of reaching k."""
+    for j in range(2, k + 1):
+        count = riordan(j)
+        if count > MAX_DIAGRAMS:
+            raise BudgetError(f"{k} boundary points have at least {count} Catalan "
+                              f"diagrams, over the budget of {MAX_DIAGRAMS}")
 
 
 def _check_arities(n, m):

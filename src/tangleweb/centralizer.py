@@ -14,12 +14,7 @@ from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import planar_to_word
 from .rewrite import eval_diagram, normalize
 from .tangle import Generator, TangleWord, compose_tangles
-from .tensor import compose, zero_map
-
-
-def centralizer_basis(alg: CrossAlgebra, n: int):
-    """Basis diagrams of End(V^(x)n), ordered by canonical encoding."""
-    return basis_diagrams(alg.case, n, n)
+from .tensor import compose
 
 
 class StructureTable:
@@ -95,7 +90,7 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
         raise BudgetError("7-dimensional case budgeted to n <= 3")
     if alg.case is not CaseTag.DIM7 and n > 4:
         raise BudgetError("3-dimensional cases budgeted to n <= 4")
-    basis = centralizer_basis(alg, n)
+    basis = basis_diagrams(alg.case, n, n)
     words = [planar_to_word(d) for d in basis]
     index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
     table = {}
@@ -314,7 +309,7 @@ def brauer_map(alg: CrossAlgebra, n: int):
         if prod != e or loops != 1:
             e_ok = False
 
-    basis = centralizer_basis(alg, n)
+    basis = basis_diagrams(alg.case, n, n)
     index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
     rows = []
     for d in diagrams:
@@ -352,10 +347,12 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     consistent = True
     for (i, j), row in table.table.items():
         got = compose(maps[i], maps[j])
-        want = zero_map(alg, n, n)
+        want = {}
         for k, c in row.items():
-            want = want.add(maps[k].scale(c))
-        if got != want:
+            for key, v in rows[k].items():
+                want[key] = want.get(key, 0) + c * v
+        if ({_flat_key(got, key): v for key, v in got.entries.items()}
+                != {key: v for key, v in want.items() if v}):
             consistent = False
             break
 

@@ -13,7 +13,8 @@ import sys
 
 from .algebra import (CaseTag, build, cayley_hamilton_check, check_axioms,
                       format_fraction, skew_symmetrization_check)
-from .basis import BudgetError, check_budget, enumerate_catalan, enumerate_webs, riordan
+from .basis import (BudgetError, check_budget, check_catalan_budget, enumerate_catalan,
+                    enumerate_webs, riordan)
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
 from .oracle import (EXACT_LIMIT, MODP_LIMIT, CertificateError, certified_dim,
@@ -81,7 +82,6 @@ def cmd_normalize(args):
 
 def cmd_basis(args):
     case = CaseTag(args.case)
-    alg = build(case)
     if case is CaseTag.DIM7:
         diags = enumerate_webs(args.n, args.m, budget=_budget())
         items = [{"encoding": d.canonical_encoding().decode(),
@@ -103,6 +103,8 @@ def cmd_dims(args):
     if case is CaseTag.DIM7:
         budget = _budget()
         check_budget(args.nmax, budget)
+    else:
+        check_catalan_budget(args.nmax)
     alg = build(case)
     der = derivations(alg)
     rows = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import CaseTag, CrossAlgebra
 from .basis import BudgetError, basis_diagrams, build_normalized, is_basis_diagram
 from .linalg import solve_exact
-from .planar import (TOP, VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
+from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
                      open_boundary, planar_to_word, word_to_planar)
 from .tangle import Generator, LinComb, TangleWord, parse_word
 from .tensor import evaluate
@@ -74,25 +74,13 @@ def _gon_pattern(k):
     raise RewriteError(f"could not embed the {k}-gon pattern")
 
 
-def _pattern_leg_order(pattern):
-    """Boundary position of each leg in the pattern's face-walk order.
+def _stub_positions(pattern, legs):
+    """Boundary position of the stub each leg reaches, in leg order.
 
-    The pattern must have exactly one internal face; the returned list maps
-    walk index -> boundary position, fixing the anchoring convention shared
-    by rule derivation and rule application.
+    `legs` come from the extractor that applies the rule (_face_parts or
+    _h_pattern_legs), so derivation and application share one leg order.
     """
-    faces = pattern.internal_faces()
-    assert len(faces) == 1, "pattern must have a unique internal face"
-    face = faces[0]
-    order = []
-    for h in face:
-        p = pattern.pairing[h]
-        leg = pattern.sigma(pattern.sigma(p))
-        stub = pattern.pairing[leg]
-        where = pattern.loc[stub]
-        assert where[0] == TOP
-        order.append(where[1])
-    return order
+    return [pattern.loc[pattern.pairing[leg]][1] for leg in legs]
 
 
 # ------------------------------------------------------------------ rules
@@ -148,20 +136,19 @@ class RuleSet:
         """face of size k with k legs -> combination of basis patches."""
         alg = self.alg
         pattern = _gon_pattern(k)
-        order = _pattern_leg_order(pattern)     # walk index -> boundary position
+        _, legs = _face_parts(pattern, pattern.internal_faces()[0])
         target = _eval_vector(pattern, alg)
         patches = basis_diagrams(self.case, k, 0)
         cols = [_eval_vector(p, alg) for p in patches]
         sol = solve_exact(cols, target)
         terms = [(p, c) for p, c in zip(patches, sol) if c]
-        return {"k": k, "order": order, "terms": terms}
+        return {"k": k, "order": _stub_positions(pattern, legs), "terms": terms}
 
     def _derive_rotation(self):
         """Tree rotation: comb (01|23) -> comb (12|30) plus pairing terms.
 
-        Also derives the attach permutation by running the matcher's leg
-        extraction on the canonical tree itself, so application and
-        derivation share one labeling convention.
+        The leg order is read off the canonical tree by the same extraction
+        that applies the rule.
         """
         alg = self.alg
         t_a = build_normalized(4, 0, ((0, 1, 2, 3),))
@@ -175,17 +162,10 @@ class RuleSet:
         # sanity: the rotated tree must participate, else cycles cannot shrink
         if not any(p is t_b for p, _ in terms):
             raise RewriteError("rotation rule degenerate")
-        # extraction order on t_a: walk index -> boundary position
-        center = next((h, p) for h, p in t_a.pairing.items()
-                      if t_a.loc[h][0] == VERT and t_a.loc[p][0] == VERT)
-        a, b = center
-        order = []
-        for leg in _h_pattern_legs(t_a, a, b):
-            stub = t_a.pairing[leg]
-            where = t_a.loc[stub]
-            assert where[0] == TOP
-            order.append(where[1])
-        return {"order": order, "terms": terms}
+        a, b = next((h, p) for h, p in t_a.pairing.items()
+                    if t_a.loc[h][0] == VERT and t_a.loc[p][0] == VERT)
+        return {"order": _stub_positions(t_a, _h_pattern_legs(t_a, a, b)),
+                "terms": terms}
 
 
 _RULESETS = {}
@@ -199,109 +179,59 @@ def rules_for(alg: CrossAlgebra) -> RuleSet:
     return rs
 
 
-def derive_crossing_rule(alg: CrossAlgebra):
-    """The switch generator as an exact combination of crossing-free words."""
-    return rules_for(alg).crossing_terms
-
-
 # ------------------------------------------------------------------ surgery
 
-def _substitute(host: PlanarDiagram, removed_vertices, leg_halves, patch,
-                walk_to_boundary):
-    """Replace the pattern (removed vertices + their legs) by a patch.
+def _substitute(host: PlanarDiagram, verts, legs, patch, order):
+    """Replace the pattern (vertices `verts`) by `patch`, a new diagram.
 
-    leg_halves: pattern-side half-edges of the legs, in walk order.
-    walk_to_boundary: walk index -> patch boundary position.
-    Returns a new diagram; free circles created by the wiring are counted.
+    Leg i of the pattern, legs[i] its pattern-side half-edge, becomes port
+    i with two links.  Outward: the host half-edge its edge leads to, or
+    the port whose leg that edge reaches.  Inward: the patch half-edge at
+    boundary position order[i], or the port the patch wires that position
+    to.  With two links on every port, the links form paths between two
+    half-edges, which are paired, and cycles of ports, each a free circle.
     """
-    k = len(leg_halves)
     d = host.copy()
-    removed_h = set()
-    for vid in removed_vertices:
-        removed_h.update(d.rot[vid])
-
-    # wiring graph nodes: ("ext", i) and ("pat", i); terminals carry half-edges
-    stubs = {}
-    wires = []            # pairs of nodes
-    for i, leg in enumerate(leg_halves):
-        s = d.pairing[leg]
-        if s in removed_h:
-            # external edge runs between two pattern legs
-            j = leg_halves.index(s)
-            if j > i:
-                wires.append((("ext", i), ("ext", j)))
-        else:
-            stubs[("ext", i)] = s
-        wires.append((("ext", i), ("pat", i)))
-
-    for vid in removed_vertices:
+    for vid in verts:
         d.drop_vertex(vid)
-    for leg in leg_halves:
-        d.pairing.pop(leg, None)
-        d.loc.pop(leg, None)
-
-    # copy the patch; its boundary points become pat-nodes
-    pat_boundary_node = {}
-    for i in range(k):
-        pat_boundary_node[walk_to_boundary[i]] = ("pat", i)
     hmap = {}
-    for vid, triple in patch.rot.items():
-        new_triple = []
-        for h in triple:
-            nh = d.new_halfedge()
-            hmap[h] = nh
-            new_triple.append(nh)
-        d.add_vertex(tuple(new_triple))
-    seen = set()
+    for triple in patch.rot.values():
+        new = tuple(d.new_halfedge() for _ in triple)
+        hmap.update(zip(triple, new))
+        d.add_vertex(new)
     for h, p in patch.pairing.items():
-        if h in seen or p in seen:
-            continue
-        seen.add(h)
-        seen.add(p)
-        lh, lp = patch.loc[h], patch.loc[p]
-        if lh[0] == TOP and lp[0] == TOP:
-            wires.append((pat_boundary_node[lh[1]], pat_boundary_node[lp[1]]))
-        elif lh[0] == TOP:
-            stubs[pat_boundary_node[lh[1]]] = hmap[p]
-        elif lp[0] == TOP:
-            stubs[pat_boundary_node[lp[1]]] = hmap[h]
-        else:
+        if h in hmap and p in hmap:
             d.pair(hmap[h], hmap[p])
-
-    # resolve wires: each chain ends in two terminal half-edges or is a circle
-    adj = {}
-    for a, b in wires:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    visited = set()
-    for node in list(adj):
-        if node in visited:
+    # a link is (port, None) or (None, half-edge)
+    port_of = {leg: i for i, leg in enumerate(legs)}
+    port_at = {pos: i for i, pos in enumerate(order)}
+    outward = []
+    inward = []
+    for leg, pos in zip(legs, order):
+        s = host.pairing[leg]
+        outward.append((port_of[s], None) if s in port_of else (None, s))
+        q = patch.pairing[patch.top[pos]]
+        inward.append((None, hmap[q]) if q in hmap else (port_at[patch.loc[q][1]], None))
+    done = set()
+    for start in range(len(legs)):
+        if start in done:
             continue
-        # walk the chain to both ends
-        chain = {node}
-        frontier = [node]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in chain:
-                    chain.add(nxt)
-                    frontier.append(nxt)
-        visited |= chain
-        ends = [stubs[n] for n in chain if n in stubs]
-        degree = {n: len(adj[n]) for n in chain}
-        terminals = [n for n in chain if degree[n] == 1]
-        if len(ends) == 2:
-            d.pair(ends[0], ends[1])
-        elif len(ends) == 0 and not terminals:
-            d.loops += 1
-        elif len(ends) == 0 and terminals:
-            raise RewriteError("dangling wire in substitution")
+        ends = []
+        for first in (outward, inward):
+            i, links = start, first
+            while True:
+                done.add(i)
+                i, h = links[i]
+                if i is None:
+                    ends.append(h)
+                    break
+                if i == start:
+                    break
+                links = inward if links is outward else outward
+        if ends:
+            d.pair(*ends)
         else:
-            raise RewriteError(f"wiring chain with {len(ends)} terminals")
-    for n, h in stubs.items():
-        if n not in adj:
-            raise RewriteError("stub not wired")
-    d._enc = None
+            d.loops += 1
     return d
 
 
@@ -455,22 +385,9 @@ def _h_pattern_legs(d, a, b):
     return [d.sigma(a), d.sigma(d.sigma(a)), d.sigma(b), d.sigma(d.sigma(b))]
 
 
-def _apply_face_rule(d, face, rule):
-    verts, legs = _face_parts(d, face)
-    out = []
-    for patch, coeff in rule["terms"]:
-        out.append((_substitute(d, verts, legs, patch, rule["order"]), coeff))
-    return out
-
-
-def _apply_rotation(d, a, b, rule):
-    v1 = d.loc[a][1]
-    v2 = d.loc[b][1]
-    legs = _h_pattern_legs(d, a, b)
-    out = []
-    for patch, coeff in rule["terms"]:
-        out.append((_substitute(d, [v1, v2], legs, patch, rule["order"]), coeff))
-    return out
+def _apply(d, verts, legs, rule):
+    return [(_substitute(d, verts, legs, patch, rule["order"]), coeff)
+            for patch, coeff in rule["terms"]]
 
 
 def _pick(cands, strategy):
@@ -566,30 +483,29 @@ def _find_step(d, rules, strategy):
     if v is not None:
         return ("lollipop", (v,), [])
     faces = sorted(d.internal_faces(), key=lambda f: (len(f), min(f)))
+    small = [f for f in faces if len(f) <= 5]
+    if small:
+        f = _pick(small, strategy)
+        verts, legs = _face_parts(d, f)
+        return (f"face{len(f)}", tuple(f),
+                _apply(d, verts, legs, rules.face_rules[len(f)]))
+    if case is CaseTag.DIM7:
+        return None   # faces of six or more sides are terminal, and so are trees
     if faces:
-        small = [f for f in faces if len(f) <= 5]
-        if small:
-            f = _pick(small, strategy)
-            return (f"face{len(f)}", tuple(f),
-                    _apply_face_rule(d, f, rules.face_rules[len(f)]))
-        if case is CaseTag.DIM7:
-            return None   # faces of six or more sides are terminal
         # rotate an edge of the smallest face to shrink it
         f = _pick(faces, strategy)
-        h = f[0]
-        a = d.pairing[h]
-        b = h
+        a, b = d.pairing[f[0]], f[0]
         if d.loc[a][1] == d.loc[b][1]:
             raise RewriteError("face edge is a self-loop; priority violated")
-        return (f"rotate-face{len(f)}", (a, b),
-                _apply_rotation(d, a, b, rules.rotation_terms))
-    if case is not CaseTag.DIM7:
+        rule_name = f"rotate-face{len(f)}"
+    else:
         move = _find_tree_move(d, strategy)
-        if move is not None:
-            a, b = move
-            return ("rotate-tree", (a, b),
-                    _apply_rotation(d, a, b, rules.rotation_terms))
-    return None
+        if move is None:
+            return None
+        a, b = move
+        rule_name = "rotate-tree"
+    return (rule_name, (a, b), _apply(d, [d.loc[a][1], d.loc[b][1]],
+                                      _h_pattern_legs(d, a, b), rules.rotation_terms))
 
 
 def _find_tree_move(d, strategy):
@@ -626,23 +542,3 @@ def _locate_right_heavy(d, h):
         if d.loc[rp][0] == VERT:
             return (right, rp)
         h = d.sigma(right)
-
-
-# ----------------------------------------------------------- case wrappers
-
-def normalize_so3(words, alg, **kw):
-    if alg.case is not CaseTag.DIM3:
-        raise ValueError("normalize_so3 needs the 3-dimensional case")
-    return normalize(words, alg, **kw)
-
-
-def normalize_g2(words, alg, **kw):
-    if alg.case is not CaseTag.DIM7:
-        raise ValueError("normalize_g2 needs the 7-dimensional case")
-    return normalize(words, alg, **kw)
-
-
-def normalize_super(words, alg, **kw):
-    if alg.case is not CaseTag.KAP:
-        raise ValueError("normalize_super needs the superalgebra case")
-    return normalize(words, alg, **kw)

@@ -70,9 +70,6 @@ class TensorMap:
             raise ArityError("not a scalar map")
         return self.entries.get(((), ()), Fraction(0))
 
-    def copy(self):
-        return TensorMap(self.algebra, self.n_in, self.n_out, dict(self.entries))
-
     def scale(self, c):
         c = Fraction(c)
         if not c:

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import (BudgetError, build_normalized, enumerate_catalan,
-                             enumerate_webs, is_basis_diagram,
+from tangleweb.basis import (MAX_DIAGRAMS, BudgetError, build_normalized,
+                             enumerate_catalan, enumerate_webs, is_basis_diagram,
                              noncrossing_partitions_min2, riordan, web_vertex_bound)
 from tangleweb.planar import PlanarError, open_boundary, word_to_planar
 from tangleweb.tangle import parse_word
@@ -159,6 +159,13 @@ def test_webs_split_boundary_matches_bent():
 def test_webs_budget():
     with pytest.raises(BudgetError):
         enumerate_webs(8, 0, budget=7)
+
+
+def test_catalan_budget():
+    assert riordan(15) <= MAX_DIAGRAMS < riordan(16)
+    for n, m in ((16, 0), (9, 7), (10 ** 9, 0)):
+        with pytest.raises(BudgetError):
+            enumerate_catalan(n, m)
 
 
 def test_is_basis_examples(dim3, dim7):

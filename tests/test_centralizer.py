@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from tangleweb.basis import riordan
+from tangleweb import centralizer
+from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.centralizer import (BudgetError, brauer_compose, brauer_diagrams,
                                    brauer_e, brauer_identity, brauer_map,
-                                   brauer_sigma, centralizer_basis, matching_word,
+                                   brauer_sigma, matching_word,
                                    matrix_model, structure_constants)
 from tangleweb.oracle import invariant_dim
 from tangleweb.planar import planar_to_word
@@ -62,7 +63,7 @@ def test_kap_n2_table(kap):
 
 def test_basis_sizes_n3(dim3, kap):
     for alg in (dim3, kap):
-        assert len(centralizer_basis(alg, 3)) == riordan(6) == 15
+        assert len(basis_diagrams(alg.case, 3, 3)) == riordan(6) == 15
 
 
 def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7):
@@ -147,6 +148,20 @@ def test_matrix_model_3dim_n3(dim3, kap):
         assert rep["basis_size"] == 15
         assert rep["independent"] and rep["structure_match"]
         assert rep["equivariant"] and rep["identity"] and rep["associative"]
+
+
+def test_matrix_model_catches_a_wrong_coefficient(dim3, monkeypatch):
+    # one perturbed table coefficient no longer matches the composed maps
+    def perturbed(alg, n):
+        table = structure_constants(alg, n)
+        (i, j), row = min(table.table.items())
+        k = min(row)
+        table.table[(i, j)] = {**row, k: row[k] + 1}
+        return table
+
+    monkeypatch.setattr(centralizer, "structure_constants", perturbed)
+    rep = matrix_model(dim3, 2)
+    assert rep["independent"] and not rep["structure_match"]
 
 
 def test_kap_example_map(kap):

@@ -200,6 +200,22 @@ def test_normalize_over_strand_budget_exit_2(tmp_path, capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--case", "dim3", "16", "0"],     # riordan(16) = 227,475 diagrams
+    ["dims", "--case", "kap", "100000"],        # one riordan(n) per row
+])
+def test_catalan_over_budget_exit_2(capsys, argv):
+    # refused before any diagram is built or any Riordan row is counted
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the budget of 100000" in captured.err
+    assert elapsed < 0.5
+
+
 def test_centralizer_over_budget_exit_2(capsys):
     code = main(["centralizer", "--case", "dim7", "4"])
     err = capsys.readouterr().err

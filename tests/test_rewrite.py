@@ -7,9 +7,7 @@ from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
 from tangleweb.basis import BudgetError, build_normalized, is_basis_diagram
 from tangleweb.planar import planar_to_word
-from tangleweb.rewrite import (RewriteTrace, derive_crossing_rule, eval_diagram,
-                               normalize, normalize_g2, normalize_so3,
-                               normalize_super, rules_for)
+from tangleweb.rewrite import RewriteTrace, eval_diagram, normalize, rules_for
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate, switch_map, zero_map
 
@@ -38,11 +36,17 @@ def test_lollipop_dies(all_algebras):
 
 
 def test_bubble_values(dim3, dim7, kap):
-    for alg, want in ((dim3, -2), (dim7, -6), (kap, 1)):
-        out = normalize(parse_word("tangle 1 -> 1 / w / m"), alg)
-        (d, c), = list(out)
-        assert c == want
-        assert d.vertex_count() == 0       # a bare strand
+    # the bubble on a strand leaves a bare strand; in the closed theta the
+    # bigon's two legs meet outside, so its one face2 step closes a circle
+    for text, wants in (("tangle 1 -> 1 / w / m", (-2, -6, 1)),
+                        ("tangle 0 -> 0 / cup / w,id / m,id / cap", (-6, -42, -1))):
+        for alg, want in zip((dim3, dim7, kap), wants):
+            trace = RewriteTrace(alg.case)
+            out = normalize(parse_word(text), alg, trace=trace)
+            (d, c), = list(out)
+            assert c == want
+            assert d.vertex_count() == 0 and d.loops == 0
+            assert [r["rule"] for r in trace.as_rows()] == ["face2"]
 
 
 def test_triangle_values(dim3, dim7):
@@ -56,7 +60,7 @@ def test_triangle_values(dim3, dim7):
 
 def test_crossing_rule_solves_switch(all_algebras):
     for alg in all_algebras:
-        terms = derive_crossing_rule(alg)
+        terms = rules_for(alg).crossing_terms
         acc = zero_map(alg, 2, 2)
         for w, c in terms:
             acc = acc.add(evaluate(w, alg).scale(c))
@@ -65,7 +69,7 @@ def test_crossing_rule_solves_switch(all_algebras):
 
 def test_crossing_rule_known_forms(dim3, dim7, kap):
     def coeffs(alg):
-        return {w.format(): c for w, c in derive_crossing_rule(alg)}
+        return {w.format(): c for w, c in rules_for(alg).crossing_terms}
 
     c3 = coeffs(dim3)
     assert c3 == {"tangle 2 -> 2": 1, "tangle 2 -> 2 / m / w": 1}
@@ -171,19 +175,6 @@ def test_trace_measures_decrease(dim7):
     assert tr.steps
     rows = tr.as_rows()
     assert all(set(r) == {"rule", "at", "measure", "terms"} for r in rows)
-
-
-def test_case_wrappers(dim3, dim7, kap):
-    w = parse_word("tangle 2 -> 2 / x")
-    assert normalize_so3(w, dim3) == normalize(w, dim3)
-    assert normalize_g2(w, dim7) == normalize(w, dim7)
-    assert normalize_super(w, kap) == normalize(w, kap)
-    with pytest.raises(ValueError):
-        normalize_so3(w, dim7)
-    with pytest.raises(ValueError):
-        normalize_g2(w, kap)
-    with pytest.raises(ValueError):
-        normalize_super(w, dim3)
 
 
 def test_normalize_accepts_lincomb(dim3):

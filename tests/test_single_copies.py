@@ -4,7 +4,7 @@ import inspect
 import pathlib
 
 import tangleweb
-from tangleweb import basis, centralizer, oracle
+from tangleweb import basis, centralizer, oracle, rewrite, tensor
 
 SRC = pathlib.Path(tangleweb.__file__).parent
 
@@ -34,3 +34,16 @@ def test_grading_reads_no_case_table():
                oracle.zero_grade, oracle._all_action_rows, oracle._sparse_mul):
         src = inspect.getsource(fn)
         assert ".case" not in src and "CaseTag" not in src, fn.__name__
+
+
+def test_one_surgery_and_no_pass_through_layers():
+    # every rewrite rule is applied by rewrite._apply and its leg order read
+    # by rewrite._stub_positions; the case wrappers and one-line aliases
+    # are gone
+    for name in ("_apply_face_rule", "_apply_rotation", "_pattern_leg_order",
+                 "normalize_so3", "normalize_g2", "normalize_super",
+                 "derive_crossing_rule"):
+        assert not hasattr(rewrite, name), name
+        assert not hasattr(tangleweb, name), name
+    assert not hasattr(centralizer, "centralizer_basis")
+    assert not hasattr(tensor.TensorMap, "copy")
