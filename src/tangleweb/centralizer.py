@@ -11,8 +11,8 @@ from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
 from .linalg import sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
-from .planar import planar_to_word
-from .rewrite import eval_diagram, normalize
+from .planar import compose_planar
+from .rewrite import eval_diagram, normalize, normalize_diagrams
 from .tangle import Generator, TangleWord, compose_tangles
 from .tensor import compose
 
@@ -22,12 +22,14 @@ class StructureTable:
 
     __slots__ = ("case", "n", "basis", "index", "table")
 
-    def __init__(self, case, n, basis, table):
+    def __init__(self, case, n, basis, table, index=None):
         self.case = case
         self.n = n
         self.basis = basis
-        self.index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
         self.table = table      # dict (i, j) -> dict k -> Fraction
+        if index is None:
+            index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
+        self.index = index      # canonical encoding -> basis position
 
     def identity_index(self):
         for k, d in enumerate(self.basis):
@@ -83,6 +85,7 @@ def _strand_to_same_bottom(d, h):
 def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     """Multiply basis diagrams by stacking and normalizing; exact.
 
+    basis_i o basis_j is basis_j glued on top of basis_i (compose_planar).
     The products share one normalization memo, so each distinct diagram
     they reach is reduced once per table.
     """
@@ -91,14 +94,12 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     if alg.case is not CaseTag.DIM7 and n > 4:
         raise BudgetError("3-dimensional cases budgeted to n <= 4")
     basis = basis_diagrams(alg.case, n, n)
-    words = [planar_to_word(d) for d in basis]
     index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
     table = {}
     memo = {}
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            stacked = compose_tangles(wi, wj)   # first wj, then wi
-            out = normalize(stacked, alg, memo=memo)
+    for i, di in enumerate(basis):
+        for j, dj in enumerate(basis):
+            out = normalize_diagrams([(compose_planar(di, dj), 1)], alg, memo=memo)
             row = {}
             for diag, c in out:
                 k = index.get(diag.canonical_encoding())
@@ -106,7 +107,7 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
                     raise RuntimeError("product left the basis; normalization bug")
                 row[k] = c
             table[(i, j)] = row
-    return StructureTable(alg.case, n, basis, table)
+    return StructureTable(alg.case, n, basis, table, index)
 
 
 # ------------------------------------------------------------------ Brauer

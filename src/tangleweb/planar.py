@@ -426,6 +426,84 @@ def open_boundary(n, m):
     return d, stubs
 
 
+def join_ports(d, outward, inward):
+    """Join strands through ports: pair path ends, count cycles as circles.
+
+    Port i has two links, outward[i] and inward[i], each (port, None) for a
+    link to another port or (None, h) for a half-edge of `d`.  A walk leaves
+    a port by one link and enters the next port, which it leaves by the
+    other kind of link.  With two links on every port, the walks form paths
+    between two half-edges, which are paired, and cycles of ports, each
+    one free circle.
+    """
+    done = set()
+    for start in range(len(outward)):
+        if start in done:
+            continue
+        ends = []
+        for first in (outward, inward):
+            i, links = start, first
+            while True:
+                done.add(i)
+                i, h = links[i]
+                if i is None:
+                    ends.append(h)
+                    break
+                if i == start:
+                    break
+                links = inward if links is outward else outward
+        if ends:
+            d.pair(*ends)
+        else:
+            d.loops += 1
+
+
+def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
+    """d1 after d2: d2 on top, its bottom glued to d1's top (the order of
+    tangle.compose_tangles).
+
+    Both rotation systems are copied, d2's half-edges and vertices
+    renumbered past d1's.  Seam point j is a port (join_ports) linked up to
+    what d2 pairs its bottom point j with and down to what d1 pairs its
+    top point j with; a link that reaches another seam point is a cup of
+    d2 or a cap of d1.  The result needs no check_valid: two disks glued
+    along one boundary arc make a disk, with the circle order 1..n of d2's
+    top and m'..1' of d1's bottom, and the walk pairs every half-edge left
+    at the seam exactly once.
+    """
+    if d2.n_out != d1.n_in:
+        raise PlanarError(f"cannot compose: {d2.n_out} outputs into {d1.n_in} inputs")
+    dh, dv = d1._next_h, d1._next_v
+    d = PlanarDiagram(d2.n_in, d1.n_out)
+    d.rot = dict(d1.rot)
+    d.rot.update((v + dv, tuple(h + dh for h in t)) for v, t in d2.rot.items())
+    d.loc = {h: w for h, w in d1.loc.items() if w[0] != TOP}
+    for h, w in d2.loc.items():
+        if w[0] == VERT:
+            d.loc[h + dh] = (VERT, w[1] + dv, w[2])
+        elif w[0] == TOP:
+            d.loc[h + dh] = w
+    d.pairing = {h: p for h, p in d1.pairing.items()
+                 if d1.loc[h][0] != TOP and d1.loc[p][0] != TOP}
+    d.pairing.update((h + dh, p + dh) for h, p in d2.pairing.items()
+                     if d2.loc[h][0] != BOT and d2.loc[p][0] != BOT)
+    d.top = [h + dh for h in d2.top]
+    d.bot = list(d1.bot)
+    d.loops = d1.loops + d2.loops
+    d._next_h = dh + d2._next_h
+    d._next_v = dv + d2._next_v
+    up, down = [], []
+    for j in range(d1.n_in):
+        s = d2.pairing[d2.bot[j]]
+        w = d2.loc[s]
+        up.append((w[1], None) if w[0] == BOT else (None, s + dh))
+        q = d1.pairing[d1.top[j]]
+        w = d1.loc[q]
+        down.append((w[1], None) if w[0] == TOP else (None, q))
+    join_ports(d, up, down)
+    return d
+
+
 # ------------------------------------------------------------------ words
 
 def word_to_planar(word: TangleWord) -> PlanarDiagram:

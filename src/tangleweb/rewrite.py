@@ -1,5 +1,6 @@
-"""Normalization engines: reduce linear combinations of tangle words to
-exact combinations of the case's basis diagrams.
+"""The normalization engine: reduce linear combinations of planar diagrams
+(normalize_diagrams) or of tangle words (normalize) to exact combinations
+of the case's basis diagrams.
 
 No rule coefficient is transcribed from a picture.  Every local rule is
 derived at startup by solving an exact linear system against functor
@@ -17,7 +18,7 @@ from .algebra import CaseTag, CrossAlgebra
 from .basis import BudgetError, basis_diagrams, build_normalized, is_basis_diagram
 from .linalg import solve_exact
 from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
-                     open_boundary, planar_to_word, word_to_planar)
+                     join_ports, open_boundary, planar_to_word, word_to_planar)
 from .tangle import Generator, LinComb, TangleWord, parse_word
 from .tensor import evaluate
 
@@ -188,8 +189,8 @@ def _substitute(host: PlanarDiagram, verts, legs, patch, order):
     i with two links.  Outward: the host half-edge its edge leads to, or
     the port whose leg that edge reaches.  Inward: the patch half-edge at
     boundary position order[i], or the port the patch wires that position
-    to.  With two links on every port, the links form paths between two
-    half-edges, which are paired, and cycles of ports, each a free circle.
+    to.  join_ports pairs the ends of each path and counts each cycle as a
+    free circle.
     """
     d = host.copy()
     for vid in verts:
@@ -212,26 +213,7 @@ def _substitute(host: PlanarDiagram, verts, legs, patch, order):
         outward.append((port_of[s], None) if s in port_of else (None, s))
         q = patch.pairing[patch.top[pos]]
         inward.append((None, hmap[q]) if q in hmap else (port_at[patch.loc[q][1]], None))
-    done = set()
-    for start in range(len(legs)):
-        if start in done:
-            continue
-        ends = []
-        for first in (outward, inward):
-            i, links = start, first
-            while True:
-                done.add(i)
-                i, h = links[i]
-                if i is None:
-                    ends.append(h)
-                    break
-                if i == start:
-                    break
-                links = inward if links is outward else outward
-        if ends:
-            d.pair(*ends)
-        else:
-            d.loops += 1
+    join_ports(d, outward, inward)
     return d
 
 
@@ -400,8 +382,28 @@ def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | 
               *, memo: dict | None = None):
     """Normalize a word or linear combination of words to basis diagrams.
 
+    Expands every crossing, traces each crossing-free word into a planar
+    diagram and hands the diagrams to normalize_diagrams, whose arguments
+    and result this call shares.
+    """
+    rules = rules_for(alg)
+    if isinstance(words, TangleWord):
+        words = [(words, Fraction(1))]
+    inputs = []
+    for w, c in words:
+        for w2, c2 in _word_terms_without_crossings(w, rules):
+            inputs.append((word_to_planar(w2), c * c2))
+    return normalize_diagrams(inputs, alg, strategy, trace, memo=memo)
+
+
+def normalize_diagrams(terms, alg: CrossAlgebra, strategy="first",
+                       trace: RewriteTrace | None = None, *, memo: dict | None = None):
+    """Normalize (PlanarDiagram, coeff) pairs to basis diagrams.
+
     Returns a LinComb keyed by PlanarDiagram.  Evaluation is preserved
-    exactly: evaluate(input) == sum of coeff * evaluate(diagram).
+    exactly: the sum of coeff * evaluate(input) equals the sum of
+    coeff * evaluate(diagram) over the result.  The input diagrams are not
+    changed.
 
     The engine walks the rewrite tree depth first with an explicit stack, so
     a long chain of steps never recurses.  Without `memo` every diagram
@@ -415,13 +417,6 @@ def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | 
     only the reductions actually performed.
     """
     rules = rules_for(alg)
-    if isinstance(words, TangleWord):
-        words = [(words, Fraction(1))]
-    inputs = []
-    for w, c in words:
-        for w2, c2 in _word_terms_without_crossings(w, rules):
-            inputs.append((word_to_planar(w2), c * c2))
-
     out = LinComb()
     # frame: (memo key, weight, pending outcomes, accumulator), outcomes popped
     # last first.  An unkeyed frame's outcomes carry their coefficient from
@@ -429,7 +424,7 @@ def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | 
     # their coefficient relative to it: it accumulates its own normal form
     # and, once done, stores it and adds it times its weight into its
     # parent's accumulator.
-    stack = [(None, None, inputs, out)]
+    stack = [(None, None, list(terms), out)]
     while stack:
         key, weight, pending, acc = stack[-1]
         if not pending:

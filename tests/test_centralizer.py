@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,20 @@ def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7):
         for (i, j), row in table.table.items():
             fresh = normalize(compose_tangles(words[i], words[j]), alg)
             assert row == {table.index[d.canonical_encoding()]: c for d, c in fresh}
+
+
+@pytest.mark.parametrize("case, n, digest", [
+    ("dim3", 4, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
+    ("kap", 4, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
+    ("dim7", 3, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
+], ids=["dim3-4", "kap-4", "dim7-3"])
+def test_largest_tables_pinned(all_algebras, case, n, digest):
+    # the tables past the golden files, pinned to the word-path tables that
+    # sliced each basis diagram, stacked the words and traced them back
+    alg = next(a for a in all_algebras if a.case.value == case)
+    text = json.dumps(structure_constants(alg, n).to_json_obj(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_brauer_images_match_fresh_normalize(dim3, kap):

@@ -1,8 +1,10 @@
 import pytest
 
-from tangleweb.planar import (PlanarDiagram, PlanarError, planar_to_word,
-                              word_to_planar)
-from tangleweb.tangle import parse_word
+from tangleweb.algebra import CaseTag
+from tangleweb.basis import basis_diagrams
+from tangleweb.planar import (PlanarDiagram, PlanarError, compose_planar,
+                              planar_to_word, word_to_planar)
+from tangleweb.tangle import compose_tangles, parse_word
 from tangleweb.tensor import evaluate
 
 from conftest import random_word, seeded
@@ -108,3 +110,57 @@ def test_components_and_json():
     obj = p.to_json_obj()
     assert obj["boundary_top"] == 2 and obj["boundary_bottom"] == 2
     assert len(obj["edges"]) == 2
+
+
+def _glued_like_words(a, b):
+    # the word path compose_planar replaces: slice, stack, trace back
+    want = word_to_planar(compose_tangles(planar_to_word(a), planar_to_word(b)))
+    got = compose_planar(a, b)
+    assert got.check_valid()
+    assert got.canonical_encoding() == want.canonical_encoding()
+    assert got.loops == want.loops
+    return got
+
+
+@pytest.mark.parametrize("case, n", [(CaseTag.DIM3, 4), (CaseTag.KAP, 4),
+                                     (CaseTag.DIM7, 3)])
+def test_compose_planar_matches_word_path_on_basis(case, n):
+    # every ordered pair of the largest centralizer table's basis
+    basis = basis_diagrams(case, n, n)
+    for a in basis:
+        for b in basis:
+            _glued_like_words(a, b)
+
+
+def _glue_texts(lower, upper):
+    return _glued_like_words(word_to_planar(parse_word(lower)),
+                             word_to_planar(parse_word(upper)))
+
+
+def test_compose_planar_hand_made_seams():
+    # a cup over a cap closes a free circle
+    d = _glue_texts("tangle 2 -> 0 / cap", "tangle 0 -> 2 / cup")
+    assert d.loops == 1 and d.vertex_count() == 0
+    # one strand crosses the seam three times: down, up through a cap of the
+    # lower diagram, down again through a cup of the upper one
+    d = _glue_texts("tangle 3 -> 1 / cap,id", "tangle 1 -> 3 / id,cup")
+    assert d == word_to_planar(parse_word("tangle 1 -> 1"))
+    # two nested circles, with a vertex pair on the inner one
+    d = _glue_texts("tangle 4 -> 0 / id,cap,id / cap",
+                    "tangle 0 -> 4 / cup / id,cup,id / id,m,id / id,w,id")
+    assert d.loops == 1 and d.vertex_count() == 2
+    d = _glue_texts("tangle 4 -> 0 / id,cap,id / cap", "tangle 0 -> 4 / cup / id,cup,id")
+    assert d.loops == 2 and d.edge_count() == 0
+    # a zero-width seam: [3]->[0] over [0]->[3]
+    d = _glue_texts("tangle 0 -> 3 / cup / w,id", "tangle 3 -> 0 / m,id / cap")
+    assert (d.n_in, d.n_out, d.vertex_count()) == (3, 3, 2)
+    # loops already in either diagram carry over
+    d = _glue_texts("tangle 1 -> 1 / cup,id / cap,id", "tangle 1 -> 1 / id,cup / id,cap")
+    assert d.loops == 2
+
+
+def test_compose_planar_width_mismatch():
+    a = word_to_planar(parse_word("tangle 2 -> 2"))
+    b = word_to_planar(parse_word("tangle 3 -> 3"))
+    with pytest.raises(PlanarError):
+        compose_planar(a, b)

@@ -6,8 +6,9 @@ import pytest
 from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
 from tangleweb.basis import BudgetError, build_normalized, is_basis_diagram
-from tangleweb.planar import planar_to_word
-from tangleweb.rewrite import RewriteTrace, eval_diagram, normalize, rules_for
+from tangleweb.planar import planar_to_word, word_to_planar
+from tangleweb.rewrite import (RewriteTrace, eval_diagram, normalize, normalize_diagrams,
+                               rules_for)
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate, switch_map, zero_map
 
@@ -237,6 +238,23 @@ def test_shared_memo_matches_fresh_normalize(all_algebras, strategy):
             got = normalize(w, alg, strategy, memo_trace, memo=memo)
             assert got == want, (alg.case, strategy, w.format())
         assert 0 < len(memo_trace.steps) < len(fresh_trace.steps)
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["fresh", "memo"])
+def test_normalize_is_tracing_then_normalize_diagrams(all_algebras, memo):
+    # normalize adds only crossing expansion and word_to_planar in front of
+    # the one engine: same normal forms and the same trace rows
+    rng = seeded(47)
+    for alg in all_algebras:
+        word_memo, diagram_memo = ({}, {}) if memo else (None, None)
+        word_trace, diagram_trace = RewriteTrace(alg.case), RewriteTrace(alg.case)
+        for _ in range(150):
+            w = random_word(rng, max_slices=8, max_strands=5)
+            want = normalize(w, alg, trace=word_trace, memo=word_memo)
+            got = normalize_diagrams([(word_to_planar(w), 1)], alg, trace=diagram_trace,
+                                     memo=diagram_memo)
+            assert got == want, (alg.case, w.format())
+        assert word_trace.steps and diagram_trace.as_rows() == word_trace.as_rows()
 
 
 def test_memo_trace_lists_only_reductions_performed(dim7):

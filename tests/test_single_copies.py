@@ -47,3 +47,15 @@ def test_one_surgery_and_no_pass_through_layers():
         assert not hasattr(tangleweb, name), name
     assert not hasattr(centralizer, "centralizer_basis")
     assert not hasattr(tensor.TensorMap, "copy")
+
+
+def test_products_glue_planar_diagrams_in_one_engine():
+    # structure tables stack diagrams with planar.compose_planar, not by a
+    # round trip through words; normalize only feeds normalize_diagrams
+    src = inspect.getsource(centralizer.structure_constants)
+    for name in ("compose_tangles", "planar_to_word", "word_to_planar"):
+        assert name not in src, name
+    module = inspect.getsource(rewrite)
+    assert module.count("while stack:") == 1
+    assert module.count("= _find_step(") == 1
+    assert "while" not in inspect.getsource(rewrite.normalize)
