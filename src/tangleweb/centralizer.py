@@ -22,14 +22,12 @@ class StructureTable:
 
     __slots__ = ("case", "n", "basis", "index", "table")
 
-    def __init__(self, case, n, basis, table, index=None):
+    def __init__(self, case, n, basis, table):
         self.case = case
         self.n = n
         self.basis = basis
+        self.index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
         self.table = table      # dict (i, j) -> dict k -> Fraction
-        if index is None:
-            index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
-        self.index = index      # canonical encoding -> basis position
 
     def identity_index(self):
         for k, d in enumerate(self.basis):
@@ -94,8 +92,8 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     if alg.case is not CaseTag.DIM7 and n > 4:
         raise BudgetError("3-dimensional cases budgeted to n <= 4")
     basis = basis_diagrams(alg.case, n, n)
-    index = {d.canonical_encoding(): k for k, d in enumerate(basis)}
-    table = {}
+    st = StructureTable(alg.case, n, basis, {})
+    index, table = st.index, st.table
     memo = {}
     for i, di in enumerate(basis):
         for j, dj in enumerate(basis):
@@ -107,7 +105,7 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
                     raise RuntimeError("product left the basis; normalization bug")
                 row[k] = c
             table[(i, j)] = row
-    return StructureTable(alg.case, n, basis, table, index)
+    return st
 
 
 # ------------------------------------------------------------------ Brauer
