@@ -10,12 +10,9 @@ least six sides.
 from __future__ import annotations
 
 from .algebra import CaseTag
+from .linalg import BudgetError
 from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
                      open_boundary)
-
-
-class BudgetError(ValueError):
-    pass
 
 
 # Catalan diagrams one request may build or count: riordan(15) = 83,097 is

@@ -11,7 +11,7 @@ from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
 from .linalg import sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
-from .planar import compose_planar
+from .planar import compose_planar, join_ports
 from .rewrite import eval_diagram, normalize, normalize_diagrams
 from .tangle import Generator, TangleWord, compose_tangles
 from .tensor import compose
@@ -151,60 +151,22 @@ def brauer_e(n, i):
 
 
 def brauer_compose(d1, d2, n):
-    """d1 after d2 (d2 on top); returns (diagram, closed loop count)."""
-    # rename: top of the product = top of d2; bottom = bottom of d1;
-    # middles glue d2's bottom to d1's top
-    adj = {}
+    """d1 after d2 (d2 on top); returns (diagram, closed loop count).
 
-    def add(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for p in d2:
-        a, b = tuple(p)
-        add(("u",) + a, ("u",) + b)
-    for p in d1:
-        a, b = tuple(p)
-        add(("l",) + a, ("l",) + b)
-    for i in range(n):
-        add(("u", "b", i), ("l", "t", i))
-
-    ends = [("u", "t", i) for i in range(n)] + [("l", "b", i) for i in range(n)]
-    seen = set()
-    pairs = set()
-    for e in ends:
-        if e in seen:
-            continue
-        prev = None
-        cur = e
-        while True:
-            seen.add(cur)
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            if cur in ends:
-                seen.add(cur)
-                break
-        a = ("t", e[2]) if e[0] == "u" else ("b", e[2])
-        b = ("t", cur[2]) if cur[0] == "u" else ("b", cur[2])
-        pairs.add(frozenset((a, b)))
-    loops = 0
-    left = {("u", "b", i) for i in range(n)} - seen
-    while left:
-        start = left.pop()
-        prev = None
-        cur = start
-        count = {start}
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            prev, cur = cur, nxts[0]
-            if cur == start:
-                break
-            count.add(cur)
-            left.discard(cur)
-        loops += 1
-    return frozenset(pairs), loops
+    d2's caps and d1's cups stay.  Seam point j is a port (join_ports)
+    linked up to what d2 pairs ("b", j) with and down to what d1 pairs
+    ("t", j) with; each path pairs two boundary points of the product and
+    each cycle is a closed loop."""
+    above = {a: b for p in d2 for a, b in (tuple(p), tuple(p)[::-1])}
+    below = {a: b for p in d1 for a, b in (tuple(p), tuple(p)[::-1])}
+    up = [(q[1], None) if q[0] == "b" else (None, q)
+          for q in (above[("b", j)] for j in range(n))]
+    down = [(q[1], None) if q[0] == "t" else (None, q)
+            for q in (below[("t", j)] for j in range(n))]
+    pairs, loops = join_ports(up, down)
+    kept = ({p for p in d2 if all(a[0] == "t" for a in p)}
+            | {p for p in d1 if all(a[0] == "b" for a in p)})
+    return frozenset(kept.union(map(frozenset, pairs))), loops
 
 
 def matching_word(n: int, diagram) -> TangleWord:
@@ -316,7 +278,7 @@ def brauer_map(alg: CrossAlgebra, n: int):
         for diag, c in images[d]:
             row[index[diag.canonical_encoding()]] = c
         rows.append(row)
-    rank = sparse_rank(rows, mod=None)
+    rank = sparse_rank(rows)
     report = {
         "delta": delta,
         "homomorphism": hom_ok,
@@ -340,7 +302,7 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     basis = table.basis
     maps = [eval_diagram(d, alg) for d in basis]
     rows = [{_flat_key(t, key): c for key, c in t.entries.items()} for t in maps]
-    rank = sparse_rank(rows, mod=None)
+    rank = sparse_rank(rows)
     independent = rank == len(basis)
 
     consistent = True

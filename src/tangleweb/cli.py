@@ -17,9 +17,8 @@ from .basis import (BudgetError, check_budget, check_catalan_budget, enumerate_c
                     enumerate_webs, riordan)
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
-from .oracle import (EXACT_LIMIT, MODP_LIMIT, CertificateError, certified_dim,
-                     check_closed_under_bracket, check_kills_form, derivations,
-                     invariant_dim, zero_grade)
+from .oracle import (EXACT_LIMIT, CertificateError, certified_dim, check_closed_under_bracket,
+                     check_kills_form, derivations, invariant_dim, zero_grade)
 from .rewrite import RewriteTrace, _eval_vector, eval_diagram, normalize, rules_for
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
@@ -97,8 +96,8 @@ def cmd_basis(args):
 
 
 def cmd_dims(args):
-    """Basis counts against invariant dimensions certified with one prime
-    from the evaluations of the same basis diagrams."""
+    """Basis counts against invariant dimensions, each certified by the exact
+    rank of the evaluations of the same basis diagrams."""
     case = CaseTag(args.case)
     if case is CaseTag.DIM7:
         budget = _budget()
@@ -116,7 +115,7 @@ def cmd_dims(args):
             row["webs"] = count = len(webs)
         else:
             row["riordan"] = count = riordan(n)
-        if alg.dim ** n <= MODP_LIMIT:
+        if alg.dim ** n <= EXACT_LIMIT:
             diagrams = (webs if case is CaseTag.DIM7
                         else [t.diagram for t in enumerate_catalan(n, 0)])
             vectors = [_eval_vector(d, alg) for d in diagrams]

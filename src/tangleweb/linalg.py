@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over the rationals and over prime fields.
+"""Exact sparse linear algebra over the rationals.
 
 Sparse rows are dicts mapping column index -> nonzero scalar; the small
 dense systems (solves, inverses, nullspaces) share one reduced row echelon
@@ -10,6 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+class BudgetError(ValueError):
+    """A request larger than the budget set for it."""
+
+
+# most entries the pivot rows of one sparse_rank may hold at once: dim7's
+# invariant ranks at n = 6 peak near 90,000, while dim3's graded action
+# rows at n = 10 pass a million within seconds and take minutes to finish
+MAX_FILL = 1_000_000
 
 
 def clear_denominators(row):
@@ -29,83 +39,57 @@ def clear_denominators(row):
     return {j: v.numerator * (den // v.denominator) // g for j, v in row.items() if v}
 
 
-def sparse_rank(rows, mod=None):
-    """Rank of a sparse matrix given as an iterable of rows, consumed once.
+def sparse_rank(rows):
+    """Exact rank over Q of a sparse matrix given as an iterable of rows,
+    consumed once.
 
-    With mod=None the rank is exact over Q: each row is scaled to a
-    primitive integer row and elimination stays fraction-free, with a gcd
-    step after each combination.  With a prime mod, arithmetic is in
-    GF(mod) and each pivot row is scaled to a leading 1; the result is then
-    a lower bound on the rational rank, exact for all but finitely many
-    primes.
-
-    One incremental Gauss-Jordan loop, with the invariant that every pivot
-    row is zero in every other pivot column.  An incoming row is reduced in
-    one pass, subtracting each pivot row it hits once: a pivot row is zero
-    in every other pivot column, so a subtraction creates no new hit, and a
+    Each row is scaled to a primitive integer row and elimination stays
+    fraction-free, with a gcd step after each combination.  One incremental
+    Gauss-Jordan loop, with the invariant that every pivot row is zero in
+    every other pivot column.  An incoming row is reduced in one pass,
+    subtracting each pivot row it hits once: a pivot row is zero in every
+    other pivot column, so a subtraction creates no new hit, and a
     dependent row reaches zero without walking a chain of pivots.  A row
-    left nonzero pivots on the column held by the fewest pivot rows (exact
-    mode breaks ties by the smallest |entry|), and that column is then
-    eliminated from the pivot rows that hold it, found through a
-    column -> pivot rows index.
+    left nonzero pivots on the column held by the fewest pivot rows, ties
+    broken by the smallest |entry|, and that column is then eliminated from
+    the pivot rows that hold it, found through a column -> pivot rows index.
 
-    That back-elimination is the cost of the invariant.  When nearly every
-    row is independent and the pivot rows fill in, it can double the work
-    of forward elimination alone: the 91 dense dim3 k = 8 basis evaluations
-    take ~0.3 s mod p against ~0.2 s.  Entries over Q are unbounded and
-    grow on dense input, so rank dense rows with a prime.
+    The cost follows the fill, the entries the pivot rows hold, rather than
+    the matrix's size; raises BudgetError once the fill exceeds MAX_FILL.
     """
-    if mod is None:
-        pending = [clear_denominators(r) for r in rows]
-    else:
-        pending = [_row_mod(r, mod) for r in rows]
-    pending = [r for r in pending if r]
+    pending = [r for r in map(clear_denominators, rows) if r]
     # sparsest first keeps fill down
     pending.sort(key=len)
 
     pivots = {}     # pivot column -> pivot row, owned here and updated in place
     holders = {}    # non-pivot column -> pivot columns whose row holds it
+    fill = 0        # entries held by the pivot rows
     for row in pending:
-        row = _reduce(row, row.keys() & pivots.keys(), pivots, mod)
+        row = _reduce(row, row.keys() & pivots.keys(), pivots)
         if not row:
             continue
-        if mod is None:
-            col = min(row, key=lambda j: (len(holders.get(j, ())), abs(row[j]), j))
-        else:
-            col = min(row, key=lambda j: (len(holders.get(j, ())), j))
-            inv = pow(row[col], -1, mod)
-            if inv != 1:
-                row = {j: v * inv % mod for j, v in row.items()}
+        col = min(row, key=lambda j: (len(holders.get(j, ())), abs(row[j]), j))
         for pc in holders.pop(col, ()):
-            _eliminate(pivots[pc], pc, row, col, holders, mod)
+            target = pivots[pc]
+            fill -= len(target)
+            _eliminate(target, pc, row, col, holders)
+            fill += len(target)
         pivots[col] = row
+        fill += len(row)
+        if fill > MAX_FILL:
+            raise BudgetError(f"rank elimination holds {fill} entries, over the "
+                              f"budget of {MAX_FILL}")
         for j in row:
             if j != col:
                 holders.setdefault(j, set()).add(col)
     return len(pivots)
 
 
-def _row_mod(r, mod):
-    rr = {}
-    for j, v in r.items():
-        if isinstance(v, int):
-            x = v % mod
-        else:
-            den = v.denominator % mod
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by modulus")
-            x = v.numerator % mod * pow(den, -1, mod) % mod
-        if x:
-            rr[j] = x
-    return rr
-
-
-def _reduce(row, hits, pivots, mod):
+def _reduce(row, hits, pivots):
     """A new row: row with each hit pivot column cleared by one subtraction
-    of that pivot row.  Over Q the row is first scaled by the lcm of the hit
-    pivots' leading entries and the result made primitive; mod p every
-    leading entry is 1."""
-    scale = 1 if mod is not None else lcm(*[pivots[c][c] for c in hits])
+    of that pivot row.  The row is first scaled by the lcm of the hit
+    pivots' leading entries and the result made primitive."""
+    scale = lcm(*[pivots[c][c] for c in hits])
     new = {j: scale * v for j, v in row.items() if j not in hits}
     for c in hits:
         piv = pivots[c]
@@ -113,31 +97,26 @@ def _reduce(row, hits, pivots, mod):
         for j, v in piv.items():
             if j != c:
                 new[j] = new.get(j, 0) - f * v
-    if mod is not None:
-        return {j: w for j, v in new.items() if (w := v % mod)}
     g = gcd(*new.values())
     return {j: v // g for j, v in new.items() if v} if g else {}
 
 
-def _eliminate(target, tc, row, col, holders, mod):
+def _eliminate(target, tc, row, col, holders):
     """Clear column col from pivot row target (pivot column tc) with the new
-    pivot row, in place, keeping holders in step; over Q target is scaled
-    by row[col] / gcd first and made primitive after."""
+    pivot row, in place, keeping holders in step; target is scaled by
+    row[col] / gcd first and made primitive after."""
     a = target.pop(col)
-    if mod is None:
-        b = row[col]
-        g = gcd(a, b)
-        a //= g
-        b //= g
-        if b != 1:
-            for j in target:
-                target[j] *= b
+    b = row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for j in target:
+            target[j] *= b
     for j, v in row.items():
         if j == col:
             continue
         w = target.get(j, 0) - a * v
-        if mod is not None:
-            w %= mod
         if w:
             if j not in target:
                 holders.setdefault(j, set()).add(tc)
@@ -145,11 +124,10 @@ def _eliminate(target, tc, row, col, holders, mod):
         elif j in target:
             del target[j]
             holders[j].discard(tc)
-    if mod is None:
-        g = gcd(*target.values())
-        if g > 1:
-            for j in target:
-                target[j] //= g
+    g = gcd(*target.values())
+    if g > 1:
+        for j in target:
+            target[j] //= g
 
 
 def rref(rows, ncols):

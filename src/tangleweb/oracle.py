@@ -5,11 +5,11 @@ algebras are found by solving the Leibniz linear system from scratch, the
 invariant dimensions are joint-kernel ranks of the derivation action on
 tensor powers, and equivariance of tensor maps is checked entry-exactly.
 
-invariant_dim is the diagram-free exact reference, a rank over Q;
-certified_dim certifies a dimension with the one prime PRIME, bounding it
-from above by the action and from below by the caller's invariant vectors.
-Both rank only the action rows that meet the zero-grade columns, the grading
-read off the derivation basis itself (_all_action_rows proves it exact).
+invariant_dim is the diagram-free exact reference, a rank over Q of only
+the action rows that meet the zero-grade columns, the grading read off the
+derivation basis itself (_all_action_rows proves it exact).  certified_dim
+checks a dimension from both ends: invariant_dim from above, the exact rank
+of the caller's invariant vectors from below.
 """
 
 from __future__ import annotations
@@ -18,20 +18,18 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import CaseTag, CrossAlgebra
-from .basis import BudgetError
-from .linalg import clear_denominators, nullspace, sparse_rank
+from .linalg import BudgetError, clear_denominators, nullspace, sparse_rank
 from .tensor import TensorMap, compose
 
-# largest dim^n whose invariant dimension invariant_dim computes over Q
-EXACT_LIMIT = 20000
-# largest dim^n whose invariant dimension certified_dim certifies mod PRIME
-MODP_LIMIT = 120000
-# one fixed prime below 2^31; odd, because kap's denominators are powers of 2
-PRIME = 2147483629
+# largest dim^n whose invariant dimension invariant_dim computes; dim7 at
+# n = 6 (117,649) is in reach, the size of each elimination is budgeted by
+# linalg.MAX_FILL
+EXACT_LIMIT = 120000
 
 
 class CertificateError(ArithmeticError):
-    """The two ends of a one-prime certificate differ."""
+    """The two ends of a dimension certificate differ: the invariant
+    dimension and the rank of the vectors offered as a basis for it."""
 
     def __init__(self, n, lower, upper):
         super().__init__(f"invariant dimension at n = {n} not certified: "
@@ -133,11 +131,11 @@ def bracket(A, B, pA=0, pB=0):
 
 def check_closed_under_bracket(der: DerivationAlgebra) -> bool:
     rows = [_entries(m) for m in der.mats]
-    base_rank = sparse_rank(rows, mod=None)
+    base_rank = sparse_rank(rows)
     for i in range(der.dim):
         for j in range(i + 1, der.dim):
             br = bracket(rows[i], rows[j], der.parities[i], der.parities[j])
-            if sparse_rank(rows + [br], mod=None) != base_rank:
+            if sparse_rank(rows + [br]) != base_rank:
                 return False
     return True
 
@@ -293,9 +291,7 @@ def _all_action_rows(der, n):
     bit, and the kernel lies in the span of the e_beta whose bits sum to 0.
     Hence K lies in the zero-grade span G0.  A vector of G0 pairs with a row
     only through the row's zero-grade part pi_0, so
-    dim K = |G0| - rank{pi_0(D_i e_alpha)} exactly over Q.  Mod p those
-    rows have rank at most their rank over Q, so the same expression is an
-    upper bound on dim K.
+    dim K = |G0| - rank{pi_0(D_i e_alpha)} exactly over Q.
 
     The rows.  Each D_i is split by the grade delta = grade(b) - grade(a) of
     its entries (a, b); the part of grade delta moves a tuple's grade by
@@ -307,8 +303,7 @@ def _all_action_rows(der, n):
 
     The rows are integer rows: each D_i acts scaled once by
     clear_denominators.  A nonzero multiple of D_i has the same kernel and
-    the same row span, so the rank over Q is unchanged; the scaled rows are
-    still p-integral, so mod p they still bound the rank over Q from below."""
+    the same row span, so the rank over Q is unchanged."""
     index = _index_grades(der)
     classes, zero = _grade_classes(index, n)
 
@@ -330,36 +325,31 @@ def invariant_dim(alg: CrossAlgebra, n: int,
     """Dimension of the invariants of V^(x)n under the derivation algebra:
     the zero-grade column count |G0| minus the exact rank over Q of the
     action rows that meet G0 (_all_action_rows proves this exact).  Needs
-    no diagrams; refused when dim^n exceeds EXACT_LIMIT."""
+    no diagrams; refused when dim^n exceeds EXACT_LIMIT or the elimination
+    holds more than linalg.MAX_FILL entries."""
     if alg.dim ** n > EXACT_LIMIT:
         raise BudgetError(f"dim^n = {alg.dim ** n} exceeds the exact limit "
                           f"of {EXACT_LIMIT}")
     if der is None:
         der = derivations(alg)
     columns, rows = _all_action_rows(der, n)
-    return columns - sparse_rank(rows, mod=None)
+    return columns - sparse_rank(rows)
 
 
 def certified_dim(alg: CrossAlgebra, n: int, vectors,
                   der: DerivationAlgebra | None = None) -> int:
-    """Dimension of the invariants of V^(x)n, certified with the prime PRIME.
+    """Dimension of the invariants of V^(x)n, certified from both ends.
 
     `vectors` are invariant tensors of V^(x)n as {index: coeff} dicts, such
-    as evaluated basis diagrams (`rewrite._eval_vector`).  For p-integral
-    rows the rank mod p is at most the rank over Q, so
-    |G0| - rank_p(graded action) bounds the dimension from above (see
-    _all_action_rows) and rank_p(vectors) from below.  Returns the dimension
-    when the two ends meet and raises CertificateError naming both when they
-    do not.  Refused when dim^n exceeds MODP_LIMIT.
+    as evaluated basis diagrams (`rewrite._eval_vector`).  invariant_dim is
+    the dimension, so it bounds from above the exact rank of the vectors,
+    their span's dimension.  Returns the dimension when the two meet, that
+    is when the vectors span the invariants, and raises CertificateError
+    naming both when they do not.  Refused when invariant_dim is, or when
+    the vectors' elimination holds more than linalg.MAX_FILL entries.
     """
-    if alg.dim ** n > MODP_LIMIT:
-        raise BudgetError(f"dim^n = {alg.dim ** n} exceeds the mod-p limit "
-                          f"of {MODP_LIMIT}")
-    if der is None:
-        der = derivations(alg)
-    lower = sparse_rank(vectors, mod=PRIME)
-    columns, rows = _all_action_rows(der, n)
-    upper = columns - sparse_rank(rows, mod=PRIME)
+    upper = invariant_dim(alg, n, der=der)
+    lower = sparse_rank(vectors)
     if lower != upper:
         raise CertificateError(n, lower, upper)
     return upper

@@ -182,9 +182,15 @@ class PlanarDiagram:
                     comp_b.add(where[:2])
                 stack.append(self.pairing[h])
             comps.append((frozenset(comp_v), frozenset(comp_b)))
-        reached = set()
-        for cv, _ in comps:
-            reached |= cv
+        reached = set().union(*(cv for cv, _ in comps))
+        comps.extend((frozenset(cv), frozenset())
+                     for cv in self._closed_components(reached))
+        return comps
+
+    def _closed_components(self, reached):
+        """Vertex sets of the closed components, which hold the vertices
+        outside `reached` (those of the boundary components); each is
+        searched from its smallest vertex, in increasing order of it."""
         left = set(self.rot) - reached
         while left:
             comp_v = set()
@@ -198,9 +204,8 @@ class PlanarDiagram:
                     w = self.loc[self.pairing[h]]
                     if w[0] == VERT:
                         stack.append(w[1])
-            comps.append((frozenset(comp_v), frozenset()))
+            yield comp_v
             left -= comp_v
-        return comps
 
     # -------------------------------------------------- validity
 
@@ -354,28 +359,8 @@ class PlanarDiagram:
             covered_refs |= refs
             chunks.append(f"{ref[0]}{ref[1]}:{enc}")
 
-        closed_chunks = []
-        left = set(self.rot) - covered_verts
-        while left:
-            comp_v = set()
-            stack = [min(left)]
-            while stack:
-                v = stack.pop()
-                if v in comp_v:
-                    continue
-                comp_v.add(v)
-                for h in rot[v]:
-                    w = loc[pairing[h]]
-                    if w[0] == VERT:
-                        stack.append(w[1])
-            best = None
-            for v in comp_v:
-                for h in rot[v]:
-                    enc = encode_from(h)[0]
-                    if best is None or enc < best:
-                        best = enc
-            closed_chunks.append(f"c:{best}")
-            left -= comp_v
+        closed_chunks = [f"c:{min(encode_from(h)[0] for v in comp_v for h in rot[v])}"
+                         for comp_v in self._closed_components(covered_verts)]
         chunks.extend(sorted(closed_chunks))
         enc = (f"{self.n_in}>{self.n_out}|o{self.loops}|" + ";".join(chunks)).encode()
         self._enc = enc
@@ -426,17 +411,19 @@ def open_boundary(n, m):
     return d, stubs
 
 
-def join_ports(d, outward, inward):
-    """Join strands through ports: pair path ends, count cycles as circles.
+def join_ports(outward, inward):
+    """Join strands through ports: returns (pairs, cycles), the two ends of
+    each path and the number of cycles.
 
     Port i has two links, outward[i] and inward[i], each (port, None) for a
-    link to another port or (None, h) for a half-edge of `d`.  A walk leaves
-    a port by one link and enters the next port, which it leaves by the
-    other kind of link.  With two links on every port, the walks form paths
-    between two half-edges, which are paired, and cycles of ports, each
-    one free circle.
+    link to another port or (None, end) for an end outside the ports.  A
+    walk leaves a port by one link and enters the next port, which it
+    leaves by the other kind of link.  With two links on every port, the
+    walks form paths between two ends and cycles of ports.
     """
     done = set()
+    pairs = []
+    cycles = 0
     for start in range(len(outward)):
         if start in done:
             continue
@@ -453,9 +440,10 @@ def join_ports(d, outward, inward):
                     break
                 links = inward if links is outward else outward
         if ends:
-            d.pair(*ends)
+            pairs.append(tuple(ends))
         else:
-            d.loops += 1
+            cycles += 1
+    return pairs, cycles
 
 
 def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
@@ -466,7 +454,8 @@ def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
     renumbered past d1's.  Seam point j is a port (join_ports) linked up to
     what d2 pairs its bottom point j with and down to what d1 pairs its
     top point j with; a link that reaches another seam point is a cup of
-    d2 or a cap of d1.  The result needs no check_valid: two disks glued
+    d2 or a cap of d1.  Each path pairs two half-edges and each cycle is a
+    free circle.  The result needs no check_valid: two disks glued
     along one boundary arc make a disk, with the circle order 1..n of d2's
     top and m'..1' of d1's bottom, and the walk pairs every half-edge left
     at the seam exactly once.
@@ -489,7 +478,6 @@ def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
                      if d2.loc[h][0] != BOT and d2.loc[p][0] != BOT)
     d.top = [h + dh for h in d2.top]
     d.bot = list(d1.bot)
-    d.loops = d1.loops + d2.loops
     d._next_h = dh + d2._next_h
     d._next_v = dv + d2._next_v
     up, down = [], []
@@ -500,7 +488,10 @@ def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
         q = d1.pairing[d1.top[j]]
         w = d1.loc[q]
         down.append((w[1], None) if w[0] == TOP else (None, q))
-    join_ports(d, up, down)
+    pairs, cycles = join_ports(up, down)
+    for h, p in pairs:
+        d.pair(h, p)
+    d.loops = d1.loops + d2.loops + cycles
     return d
 
 

@@ -189,8 +189,8 @@ def _substitute(host: PlanarDiagram, verts, legs, patch, order):
     i with two links.  Outward: the host half-edge its edge leads to, or
     the port whose leg that edge reaches.  Inward: the patch half-edge at
     boundary position order[i], or the port the patch wires that position
-    to.  join_ports pairs the ends of each path and counts each cycle as a
-    free circle.
+    to.  The two ends of each join_ports path are paired, and each cycle
+    is a free circle.
     """
     d = host.copy()
     for vid in verts:
@@ -213,7 +213,10 @@ def _substitute(host: PlanarDiagram, verts, legs, patch, order):
         outward.append((port_of[s], None) if s in port_of else (None, s))
         q = patch.pairing[patch.top[pos]]
         inward.append((None, hmap[q]) if q in hmap else (port_at[patch.loc[q][1]], None))
-    join_ports(d, outward, inward)
+    pairs, cycles = join_ports(outward, inward)
+    for h, p in pairs:
+        d.pair(h, p)
+    d.loops += cycles
     return d
 
 

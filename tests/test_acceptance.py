@@ -189,8 +189,8 @@ def test_criterion_6_counting(algebras):
 
 
 def test_criterion_7_g2_dimensions(algebras):
-    # each dimension certified with one prime: the action bounds it from
-    # above, the rank of the webs' evaluations from below
+    # each dimension certified from two exact ends: invariant_dim, and the
+    # rank of the webs' evaluations, which must meet it
     t0 = time.time()
     alg = algebras[CaseTag.DIM7]
     der = derivations(alg)

@@ -123,6 +123,25 @@ def test_brauer_abstract_algebra():
     assert lhs == rhs     # braid relation
 
 
+def _render_brauer(d):
+    return " ".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in sorted(sorted(p) for p in d))
+
+
+def test_brauer_products_pinned():
+    # every ordered product for n <= 4 (11,025 at n = 4) with its loop
+    # count, pinned to the adjacency search that walked the glued matchings
+    digest = hashlib.sha256()
+    for n in range(5):
+        diags = sorted(brauer_diagrams(n), key=_render_brauer)
+        for d1 in diags:
+            for d2 in diags:
+                prod, loops = brauer_compose(d1, d2, n)
+                digest.update(f"{_render_brauer(d1)}|{_render_brauer(d2)}|"
+                              f"{_render_brauer(prod)}|{loops}\n".encode())
+    assert digest.hexdigest() == ("c28f03b789826c5357414165d6cf7542"
+                                  "df43def5608ad6fac4432126a41e1bc8")
+
+
 def test_matching_word_realizes_diagrams(dim3):
     n = 3
     for d in brauer_diagrams(n):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from tangleweb import cli
+from tangleweb import cli, linalg
 from tangleweb.algebra import CaseTag, build
 from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
@@ -83,7 +83,8 @@ def test_dims_agreement(capsys):
 
 
 def test_dims_certifies_every_row(capsys):
-    # kap's denominators are powers of 2, which the one prime must not divide
+    # kap's structure constants carry powers of 2 in their denominators;
+    # both ends are exact ranks over Q, which scale each row to integers
     code, out = run(capsys, "--json", "dims", "--case", "kap", "5")
     obj = json.loads(out)
     assert code == 0
@@ -121,6 +122,17 @@ def test_oracle_rows_report_zero_grade_columns(capsys):
     assert [(r["invariant_dim"], r["columns"]) for r in rows[:5]] == [(1, 1), (0, 1), (1, 3),
                                                                       (1, 7), (3, 19)]
     assert rows[8] == {"n": 8, "invariant_dim": 91, "columns": 1107}
+
+
+@pytest.mark.parametrize("cmd", ["dims", "oracle"])
+def test_rank_over_fill_budget_exit_2(capsys, monkeypatch, cmd):
+    # dim3's ranks at n = 5 hold over 100 pivot-row entries at each end
+    monkeypatch.setattr(linalg, "MAX_FILL", 50)
+    code = main([cmd, "--case", "dim3", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: rank elimination holds ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--seed", "3"]])

@@ -1,6 +1,6 @@
 """Property tests for the dense exact elimination, checked against the
-independent sparse rank path, and for the sparse rank, checked against
-dense references over Q and over GF(p)."""
+independent sparse rank path, and for the sparse rank, checked against the
+dense reference rref and against its fill budget."""
 
 from fractions import Fraction
 
@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleweb.linalg import invert_matrix, nullspace, rref, solve_exact, sparse_rank
+from tangleweb import linalg
+from tangleweb.linalg import (BudgetError, invert_matrix, nullspace, rref, solve_exact,
+                              sparse_rank)
 
 # zeros are drawn often so that singular and inconsistent systems show up
 SCALARS = st.one_of(st.just(Fraction(0)),
@@ -85,31 +87,7 @@ def test_nullspace_is_killed_and_complements_rank(shape):
     assert rank(rows) + len(basis) == ncols
 
 
-# a prime small enough that ranks mod p often differ from ranks over Q
-SMALL_PRIME = 3
-
-
-def modp_rank(rows, ncols, p):
-    """Dense Gaussian elimination over GF(p): the reference for mod-p ranks."""
-    mat = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-# base-row entries: mostly zeros, small integers, and Fractions whose
-# denominators are prime to SMALL_PRIME
+# base-row entries: mostly zeros, small integers, and Fractions
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-5, 4)])
 COEFFS = st.sampled_from([0, 0, 1, -1, 2, 3, Fraction(-2, 5)])
 
@@ -151,5 +129,20 @@ def sparse_rows(rows):
 def test_sparse_rank_matches_dense_references(shape):
     ncols, rows = shape
     assert sparse_rank(sparse_rows(rows)) == len(rref(rows, ncols)[1])
-    assert (sparse_rank(sparse_rows(rows), mod=SMALL_PRIME)
-            == modp_rank(rows, ncols, SMALL_PRIME))
+
+
+def test_sparse_rank_fill_budget(monkeypatch):
+    # four independent rows on disjoint columns: the pivot rows end up
+    # holding all 12 entries, one over a budget of 11
+    rows = [{3 * i + k: k + 1 for k in range(3)} for i in range(4)]
+    monkeypatch.setattr(linalg, "MAX_FILL", 12)
+    assert sparse_rank(rows) == 4
+    # dependent rows reduce to zero and add nothing to the fill
+    assert sparse_rank(rows + [{0: 2, 1: 4, 2: 6}] * 5) == 4
+    # back-elimination shrinks the first pivot row from 3 entries to 2, and
+    # the fill follows: 2 + 2 entries
+    monkeypatch.setattr(linalg, "MAX_FILL", 4)
+    assert sparse_rank([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 3}]) == 2
+    monkeypatch.setattr(linalg, "MAX_FILL", 11)
+    with pytest.raises(BudgetError, match="holds 12 entries, over the budget of 11"):
+        sparse_rank(rows)

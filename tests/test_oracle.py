@@ -127,7 +127,7 @@ def reference_dim(alg, n, der):
         for (out, inp), c in action_matrix(der, which, n).entries.items():
             images.setdefault(inp, {})[out] = c
         rows.extend(images.values())
-    return alg.dim ** n - sparse_rank(rows, mod=None)
+    return alg.dim ** n - sparse_rank(rows)
 
 
 def upper_end(alg, n, der):
@@ -221,8 +221,9 @@ def test_duplicated_web_miscounts(dim7):
 
 
 def test_budget_errors(dim7):
+    # 7^7 is past EXACT_LIMIT; dim7 at n = 6 is in reach (criterion 7)
     with pytest.raises(BudgetError):
-        invariant_dim(dim7, 6)
+        invariant_dim(dim7, 7)
     with pytest.raises(BudgetError):
         certified_dim(dim7, 7, [])
 

@@ -52,12 +52,29 @@ def test_mirror_encodes_differently():
     assert a.canonical_encoding() != b.canonical_encoding()
 
 
+# a closed 4-vertex component, then a closed theta
+TWO_CLOSED = ("tangle 0 -> 0 / cup / w,id / w,id,id / id,m,id / id,m / cap"
+              " / cup / w,id / id,m / cap")
+
+
 def test_encoding_golden():
     # determinism contract: these strings are load-bearing for golden files
     p = word_to_planar(parse_word("tangle 2 -> 2 / m / w"))
     assert p.canonical_encoding() == b"2>2|o0|t0:N0,N1,t1,b0,b1"
     c = word_to_planar(parse_word("tangle 0 -> 0 / cup / cap"))
     assert c.canonical_encoding() == b"0>0|o1|"
+    # closed components: each encoded from its least starting half-edge, and
+    # sorted after the boundary components
+    t = word_to_planar(parse_word("tangle 1 -> 1 / id,cup / id,w,id / id,id,m / id,cap"))
+    assert t.canonical_encoding() == b"1>1|o0|t0:b0;c:N0,N1,V1.2,V0.0,V0.2"
+    two = word_to_planar(parse_word(TWO_CLOSED))
+    assert two.canonical_encoding() == (b"0>0|o0|c:N0,N1,N2,N3,V2.1,V1.2,V3.2,V0.0,V2.2;"
+                                        b"c:N0,N1,V1.2,V0.0,V0.2")
+    # six vertices with no symmetry: the starting half-edges encode differently
+    six = word_to_planar(parse_word("tangle 0 -> 0 / cup / w,id / w,id,id / id,m,id"
+                                    " / w,id,id / id,m,id / id,m / cap"))
+    assert six.canonical_encoding() == (b"0>0|o0|c:N0,N1,N2,N3,N4,V4.2,N5,V0.0,"
+                                        b"V5.2,V5.1,V2.1,V4.1,V3.2")
 
 
 def test_nonplanar_rotation_rejected():
@@ -110,6 +127,9 @@ def test_components_and_json():
     obj = p.to_json_obj()
     assert obj["boundary_top"] == 2 and obj["boundary_bottom"] == 2
     assert len(obj["edges"]) == 2
+    two = word_to_planar(parse_word(TWO_CLOSED))
+    assert two.components() == [(frozenset({0, 1, 2, 3}), frozenset()),
+                                (frozenset({4, 5}), frozenset())]
 
 
 def _glued_like_words(a, b):

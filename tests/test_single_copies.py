@@ -4,12 +4,13 @@ import inspect
 import pathlib
 
 import tangleweb
-from tangleweb import basis, centralizer, oracle, rewrite, tensor
+from tangleweb import basis, centralizer, linalg, oracle, rewrite, tensor
 
 SRC = pathlib.Path(tangleweb.__file__).parent
 
 
 def test_one_budget_error():
+    assert linalg.BudgetError is basis.BudgetError
     assert oracle.BudgetError is basis.BudgetError
     assert centralizer.BudgetError is basis.BudgetError
 
@@ -22,9 +23,12 @@ def test_one_fraction_formatter():
 
 
 def test_one_rank_path():
+    # ranks are exact over Q: no prime field mode and one dim^n limit
     for name in ("_is_prime", "_fresh_primes", "_lie_generators", "_GEN_CACHE",
-                 "random", "DIM_LIMITS"):
+                 "random", "DIM_LIMITS", "PRIME", "MODP_LIMIT"):
         assert not hasattr(oracle, name), name
+    assert list(inspect.signature(linalg.sparse_rank).parameters) == ["rows"]
+    assert not hasattr(linalg, "_row_mod")
 
 
 def test_grading_reads_no_case_table():
