@@ -117,8 +117,10 @@ def cmd_dims(args):
             row["riordan"] = count = riordan(n)
         if alg.dim ** n <= EXACT_LIMIT:
             diagrams = (webs if case is CaseTag.DIM7
-                        else [t.diagram for t in enumerate_catalan(n, 0)])
-            vectors = [_eval_vector(d, alg) for d in diagrams]
+                        else (t.diagram for t in enumerate_catalan(n, 0)))
+            # lazy: certified_dim finds the upper end first, so a row it
+            # refuses there evaluates no diagram
+            vectors = (_eval_vector(d, alg) for d in diagrams)
             try:
                 row["invariant_dim"] = certified_dim(alg, n, vectors, der=der)
             except CertificateError as exc:

@@ -4,6 +4,13 @@ Sparse rows are dicts mapping column index -> nonzero scalar; the small
 dense systems (solves, inverses, nullspaces) share one reduced row echelon
 routine, rref.  Everything here is elimination-based; no floating point
 anywhere.
+
+A tall solve (thousands of keys, a few columns) is reduced to its normal
+equations A^T A x = A^T b, an m x (m + 1) system, before rref sees it.
+Over Q, A^T A x = 0 gives |Ax|^2 = 0, so A^T A has the null space of A:
+rref pivots on the same columns and returns the same solution.  The
+normal equations are always consistent; the residual check b - A x = 0
+over the original columns is what keeps the answer exact.
 """
 
 from __future__ import annotations
@@ -176,35 +183,48 @@ def solve_exact(columns, target):
     """Solve sum_i x_i * columns[i] = target exactly over Q.
 
     columns and target are sparse dicts key -> Fraction over an arbitrary
-    (hashable) key space.  Built on rref, which pivots the columns in the
-    order given, so of any dependent columns the later ones are the free
-    variables.  Raises ValueError if the system is inconsistent; if the
-    solution is not unique, returns one solution (free vars at 0).
+    (hashable) key space.  rref runs on the normal equations G y = h, with
+    G[i][j] = a_i . a_j and h[i] = a_i . b taken over primitive integer
+    columns a_i = s_i * columns[i] and target b = t * target (one positive
+    scale each, clear_denominators), and x_i = s_i * y_i / t.  G has the
+    null space of the columns (G y = 0 gives |sum_i y_i a_i|^2 = 0), so rref
+    pivots on the same columns as it would on the full system: the columns
+    in the order given, of any dependent ones the later being the free
+    variables, set to 0.  The normal equations always have a solution; the
+    residual check target - sum_i x_i * columns[i] = 0 is the exactness
+    gate and raises ValueError if the system is inconsistent.
     """
-    keys = set(target)
-    for c in columns:
-        keys.update(c)
-    keys = sorted(keys)
     m = len(columns)
-    # dense augmented rows over the occupied key set; these systems are tiny
-    mat, pivots = rref([[c.get(k, 0) for c in columns] + [target.get(k, 0)]
-                        for k in keys], m)
-    for row in mat[len(pivots):]:
-        if row[m] != 0:
-            raise ValueError("inconsistent linear system")
+    prim = [clear_denominators(c) for c in columns]
+    scales = [_scale(c, a) for c, a in zip(columns, prim)]
+    b = clear_denominators(target)
+    t = _scale(target, b)
+    mat, pivots = rref([[_dot(a, c) for c in prim] + [_dot(a, b)] for a in prim], m)
 
     x = [Fraction(0)] * m
     for r, col in enumerate(pivots):
-        x[col] = mat[r][m]
-    # verify: inconsistency can hide when free columns interact
-    for k in keys:
-        acc = Fraction(0)
-        for i, c in enumerate(columns):
-            if x[i]:
-                acc += x[i] * c.get(k, 0)
-        if acc != target.get(k, 0):
-            raise ValueError("inconsistent linear system")
+        x[col] = mat[r][m] * scales[col] / t
+    residual = dict(target)
+    for xi, c in zip(x, columns):
+        if xi:
+            for k, v in c.items():
+                residual[k] = residual.get(k, 0) - xi * v
+    if any(residual.values()):
+        raise ValueError("inconsistent linear system")
     return x
+
+
+def _scale(row, prim):
+    """The positive s with prim = s * row, for prim = clear_denominators(row)."""
+    k = next(iter(prim), None)
+    return Fraction(prim[k]) / row[k] if k is not None else Fraction(1)
+
+
+def _dot(a, b):
+    """Dot product of two sparse rows."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(v * b[k] for k, v in a.items() if k in b)
 
 
 def invert_matrix(mat):

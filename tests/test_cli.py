@@ -135,6 +135,24 @@ def test_rank_over_fill_budget_exit_2(capsys, monkeypatch, cmd):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_dims_refused_row_evaluates_nothing(capsys, monkeypatch):
+    # at a budget of 50 entries the upper end refuses dim3's row n = 5, so
+    # none of its diagrams is evaluated for the lower end
+    monkeypatch.setattr(linalg, "MAX_FILL", 50)
+    sizes = []
+    real = cli._eval_vector
+
+    def counted(d, alg):
+        sizes.append(d.n_in)
+        return real(d, alg)
+
+    monkeypatch.setattr(cli, "_eval_vector", counted)
+    code = main(["dims", "--case", "dim3", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error: rank elimination holds ")
+    assert 4 in sizes and 5 not in sizes
+
+
 @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--seed", "3"]])
 def test_removed_rank_flags_are_usage_errors(flag):
     with pytest.raises(SystemExit) as exc:

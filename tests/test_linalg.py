@@ -61,6 +61,45 @@ def test_solve_exact_solves_or_reports_inconsistency(shape, data):
     assert mat_vec(rows, x) == rhs
 
 
+@st.composite
+def tall_systems(draw):
+    """(ncols, dense rows, rhs): up to 30 rows over up to 6 columns, some
+    columns combinations of earlier ones, the rhs half the time in their span."""
+    nrows = draw(st.integers(0, 30))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        if cols and draw(st.integers(0, 2)) == 0:
+            coeffs = draw(st.lists(SCALARS, min_size=len(cols), max_size=len(cols)))
+            cols.append([sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                         for i in range(nrows)])
+        else:
+            cols.append(draw(st.lists(SCALARS, min_size=nrows, max_size=nrows)))
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    if draw(st.booleans()):
+        rhs = mat_vec(rows, draw(st.lists(SCALARS, min_size=len(cols), max_size=len(cols))))
+    else:
+        rhs = draw(st.lists(SCALARS, min_size=nrows, max_size=nrows))
+    return len(cols), rows, rhs
+
+
+@SEEDED
+@given(tall_systems())
+def test_solve_exact_matches_full_rref(system):
+    # the reference: rref of the whole augmented matrix, free variables at 0
+    ncols, rows, rhs = system
+    mat, pivots = rref([r + [b] for r, b in zip(rows, rhs)], ncols)
+    columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+    target = {i: b for i, b in enumerate(rhs) if b}
+    if any(row[ncols] for row in mat[len(pivots):]):
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_exact(columns, target)
+        return
+    want = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        want[c] = mat[r][ncols]
+    assert solve_exact(columns, target) == want
+
+
 @SEEDED
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
 def test_invert_matrix_inverts_or_reports_singular(mat):

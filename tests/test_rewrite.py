@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -80,6 +81,34 @@ def test_crossing_rule_known_forms(dim3, dim7, kap):
     assert ck["tangle 2 -> 2 / m / w"] == 2
     assert ck["tangle 2 -> 2 / cap / cup"] == -2
     assert ck["tangle 2 -> 2"] == -1
+
+
+def _rule_text(rules):
+    """Every derived rule of a case as text: each term's word or canonical
+    encoding with its coefficient, and each rule's leg order."""
+    lines = [f"circle {rules.circle_value}"]
+    lines += [f"crossing {w.format()} {c}" for w, c in rules.crossing_terms]
+    for k, rule in sorted(rules.face_rules.items()):
+        lines.append(f"face {k} {rule['order']}")
+        lines += [f"  {p.canonical_encoding().decode()} {c}" for p, c in rule["terms"]]
+    if rules.rotation_terms is not None:
+        lines.append(f"rotation {rules.rotation_terms['order']}")
+        lines += [f"  {p.canonical_encoding().decode()} {c}"
+                  for p, c in rules.rotation_terms["terms"]]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("dim3", "7f235ba0d233aeeeeb1cc256a4f678bd2219601e31ff7d58485ac8bcd62b66ee"),
+    ("dim7", "ec360b6db2d67fb290ac0a0fec2be744825a783ed07e8654113b226228ca2145"),
+    ("kap", "c4e7b397ce980eb952332b5a99c222d276a806ad4eee347b92d2f4269a3cf842"),
+])
+def test_derived_rules_pinned(all_algebras, case, digest):
+    # crossing terms, face rules k = 2..5 and the rotation of each case,
+    # pinned to the solutions read off rref of the full augmented systems
+    alg = next(a for a in all_algebras if a.case.value == case)
+    text = _rule_text(rules_for(alg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_square_rule_shape(dim7):

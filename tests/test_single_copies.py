@@ -63,3 +63,21 @@ def test_products_glue_planar_diagrams_in_one_engine():
     assert module.count("while stack:") == 1
     assert module.count("= _find_step(") == 1
     assert "while" not in inspect.getsource(rewrite.normalize)
+
+
+def test_one_dense_elimination(monkeypatch):
+    # solves, nullspaces and inverses all eliminate through linalg.rref
+    calls = []
+    real = linalg.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for name, run in (("solve_exact", lambda: linalg.solve_exact([{0: 1}, {1: 2}], {0: 3})),
+                      ("nullspace", lambda: linalg.nullspace([[1, 2]], 2)),
+                      ("invert_matrix", lambda: linalg.invert_matrix([[2]]))):
+        calls.clear()
+        run()
+        assert calls, name
