@@ -46,20 +46,30 @@ class StructureTable:
         return True
 
     def check_associative(self):
+        """(e_i e_j) e_k == e_i (e_j e_k) for every basis triple; exact.
+
+        Only the triples (g, j, k) with g a generator of `_closure` are
+        walked.  Suppose (x y) z = x (y z) for every generator x and all
+        basis y, z, and let e_i = c^-1 e_a e_s be a single-term cell of the
+        table with a and s reached before i.  Then, for all y and z (by
+        bilinearity they may be any vectors), four uses of the hypothesis on
+        a and s give
+            ((e_a e_s) y) z = (e_a (e_s y)) z = e_a ((e_s y) z)
+                            = e_a (e_s (y z)) = (e_a e_s) (y z),
+        so it holds for e_i as well, and by induction for every row.  The
+        generators are read off this table, not off how it was built, so the
+        verdict is the full triple walk's for any table.
+        """
+        t = self.table
         nb = len(self.basis)
-        for i in range(nb):
+        for g, how in _closure(self.basis, t):
+            if how is not None:
+                continue
             for j in range(nb):
+                gj = t[(g, j)]
                 for k in range(nb):
-                    left = {}
-                    for l, c in self.table[(i, j)].items():
-                        for mth, c2 in self.table[(l, k)].items():
-                            left[mth] = left.get(mth, Fraction(0)) + c * c2
-                    right = {}
-                    for l, c in self.table[(j, k)].items():
-                        for mth, c2 in self.table[(i, l)].items():
-                            right[mth] = right.get(mth, Fraction(0)) + c * c2
-                    if ({a: b for a, b in left.items() if b}
-                            != {a: b for a, b in right.items() if b}):
+                    if (_expand(gj, lambda l: t[(l, k)])
+                            != _expand(t[(j, k)], lambda l: t[(g, l)])):
                         return False
         return True
 
@@ -70,7 +80,8 @@ class StructureTable:
             "basis_size": len(self.basis),
             "basis": [d.canonical_encoding().decode() for d in self.basis],
             "products": [{"i": i, "j": j,
-                          "coeffs": {str(k): format_fraction(c) for k, c in row.items()}}
+                          "coeffs": {str(k): format_fraction(c)
+                                     for k, c in sorted(row.items())}}
                          for (i, j), row in sorted(self.table.items())],
         }
 
@@ -80,12 +91,61 @@ def _strand_to_same_bottom(d, h):
     return d.loc[p][0] == "b" and d.loc[h][1] == d.loc[p][1]
 
 
+def _closure(basis, table):
+    """Reach every row of a structure table from as few rows as possible.
+
+    Yields (i, how) for each basis index once.  Rows are visited by (vertex
+    count, index).  `how` is (a, s, c) when the cell table[(a, s)] is the
+    single term {i: c} with c != 0 and rows a and s were yielded before i;
+    then e_i = c^-1 e_a e_s.  Such a row is taken as soon as one exists
+    (first found, first taken); otherwise the next row in order that is not
+    reached yet is yielded with `how` None, a generator.  Only cells of rows
+    already yielded are read, so a builder may fill row i between yields.
+    """
+    order = sorted(range(len(basis)), key=lambda i: (basis[i].vertex_count(), i))
+    reached, found = {}, {}     # ordered sets of rows; row -> (a, s, c)
+    for nxt in order:
+        while True:
+            if found:
+                i = next(iter(found))
+                how = found.pop(i)
+            elif nxt not in reached:
+                i, how = nxt, None
+            else:
+                break
+            yield i, how
+            reached[i] = None
+            for r in reached:
+                for a, s in ((r, i), (i, r)):
+                    cell = table[(a, s)]
+                    if len(cell) == 1:
+                        (m, c), = cell.items()
+                        if c and m not in found and m not in reached:
+                            found[m] = (a, s, c)
+
+
+def _expand(coeffs, cell):
+    """sum_l coeffs[l] * cell(l), zero entries dropped."""
+    out = {}
+    for l, c in coeffs.items():
+        for m, c2 in cell(l).items():
+            out[m] = out.get(m, 0) + c * c2
+    return {m: v for m, v in out.items() if v}
+
+
 def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     """Multiply basis diagrams by stacking and normalizing; exact.
 
     basis_i o basis_j is basis_j glued on top of basis_i (compose_planar).
-    The products share one normalization memo, so each distinct diagram
-    they reach is reduced once per table.
+    Only the generator rows of `_closure` are multiplied this way; the
+    products share one normalization memo, so each distinct diagram they
+    reach is reduced once per table.  Every other row i comes with a
+    finished single-term cell e_a e_s = c e_i, and associativity gives
+        e_i e_k = c^-1 e_a (e_s e_k) = c^-1 sum_m t[s][k][m] e_a e_m,
+    that is t[i][k] = c^-1 sum_m t[s][k][m] t[a][m].  This is exact, not a
+    shortcut: the algebra is associative and its basis is independent
+    (`matrix_model` certifies both), so every cell is the unique basis
+    expansion of its product, whichever way it is computed.
     """
     if alg.case is CaseTag.DIM7 and n > 3:
         raise BudgetError("7-dimensional case budgeted to n <= 3")
@@ -95,16 +155,23 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     st = StructureTable(alg.case, n, basis, {})
     index, table = st.index, st.table
     memo = {}
-    for i, di in enumerate(basis):
-        for j, dj in enumerate(basis):
-            out = normalize_diagrams([(compose_planar(di, dj), 1)], alg, memo=memo)
-            row = {}
-            for diag, c in out:
-                k = index.get(diag.canonical_encoding())
-                if k is None:
-                    raise RuntimeError("product left the basis; normalization bug")
-                row[k] = c
-            table[(i, j)] = row
+    for i, how in _closure(basis, table):
+        if how is None:
+            for j, dj in enumerate(basis):
+                out = normalize_diagrams([(compose_planar(basis[i], dj), 1)], alg,
+                                         memo=memo)
+                row = {}
+                for diag, c in out:
+                    k = index.get(diag.canonical_encoding())
+                    if k is None:
+                        raise RuntimeError("product left the basis; normalization bug")
+                    row[k] = c
+                table[(i, j)] = row
+        else:
+            a, s, c = how
+            for k in range(len(basis)):
+                row = _expand(table[(s, k)], lambda m: table[(a, m)])
+                table[(i, k)] = {p: v / c for p, v in row.items()}
     return st
 
 

@@ -6,15 +6,18 @@ import pytest
 
 from tangleweb import centralizer
 from tangleweb.basis import basis_diagrams, riordan
-from tangleweb.centralizer import (BudgetError, brauer_compose, brauer_diagrams,
-                                   brauer_e, brauer_identity, brauer_map,
-                                   brauer_sigma, matching_word,
-                                   matrix_model, structure_constants)
+from tangleweb.centralizer import (BudgetError, StructureTable, _closure,
+                                   brauer_compose, brauer_diagrams, brauer_e,
+                                   brauer_identity, brauer_map, brauer_sigma,
+                                   matching_word, matrix_model,
+                                   structure_constants)
 from tangleweb.oracle import invariant_dim
 from tangleweb.planar import planar_to_word
 from tangleweb.rewrite import eval_diagram, normalize
 from tangleweb.tangle import compose_tangles
 from tangleweb.tensor import TensorMap, evaluate
+
+from conftest import seeded
 
 
 def find_basis_index(table, pred):
@@ -68,28 +71,112 @@ def test_basis_sizes_n3(dim3, kap):
         assert len(basis_diagrams(alg.case, 3, 3)) == riordan(6) == 15
 
 
-def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7):
-    # the table's one memo changes no product: each equals a fresh normalize
+def _counting_normalize(monkeypatch):
+    calls = []
+    real = centralizer.normalize_diagrams
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(centralizer, "normalize_diagrams", counted)
+    return calls
+
+
+def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7, monkeypatch):
+    # the table's one memo and its derived rows change no product: each
+    # equals a fresh normalize of the stacked words
+    calls = _counting_normalize(monkeypatch)
     for alg, n in ((dim3, 3), (kap, 3), (dim7, 2)):
+        calls.clear()
         table = structure_constants(alg, n)
+        nb = len(table.basis)
+        if n == 3:
+            assert len(calls) < nb * nb       # some rows were derived
         words = [planar_to_word(d) for d in table.basis]
         for (i, j), row in table.table.items():
             fresh = normalize(compose_tangles(words[i], words[j]), alg)
             assert row == {table.index[d.canonical_encoding()]: c for d, c in fresh}
+            assert all(type(c) is Fraction and c for c in row.values())
 
 
-@pytest.mark.parametrize("case, n, digest", [
-    ("dim3", 4, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
-    ("kap", 4, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
-    ("dim7", 3, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
+@pytest.mark.parametrize("case, n, direct_rows, digest", [
+    ("dim3", 4, 13, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
+    ("kap", 4, 13, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
+    ("dim7", 3, 12, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
 ], ids=["dim3-4", "kap-4", "dim7-3"])
-def test_largest_tables_pinned(all_algebras, case, n, digest):
+def test_largest_tables_pinned(all_algebras, case, n, direct_rows, digest, monkeypatch):
     # the tables past the golden files, pinned to the word-path tables that
-    # sliced each basis diagram, stacked the words and traced them back
+    # sliced each basis diagram, stacked the words and traced them back;
+    # only the direct rows are normalized, one product per column
+    calls = _counting_normalize(monkeypatch)
     alg = next(a for a in all_algebras if a.case.value == case)
-    text = json.dumps(structure_constants(alg, n).to_json_obj(), sort_keys=True,
-                      separators=(",", ":"))
+    table = structure_constants(alg, n)
+    assert len(calls) == direct_rows * len(table.basis)
+    text = json.dumps(table.to_json_obj(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _associative_by_all_triples(table):
+    # the reference: (e_i e_j) e_k == e_i (e_j e_k) on every basis triple
+    nb = len(table.basis)
+    for i in range(nb):
+        for j in range(nb):
+            for k in range(nb):
+                left = {}
+                for l, c in table.table[(i, j)].items():
+                    for m, c2 in table.table[(l, k)].items():
+                        left[m] = left.get(m, Fraction(0)) + c * c2
+                right = {}
+                for l, c in table.table[(j, k)].items():
+                    for m, c2 in table.table[(i, l)].items():
+                        right[m] = right.get(m, Fraction(0)) + c * c2
+                if ({a: b for a, b in left.items() if b}
+                        != {a: b for a, b in right.items() if b}):
+                    return False
+    return True
+
+
+def _rescaled(table, scale):
+    # the same algebra in the basis scale[i] e_i: still associative
+    return StructureTable(table.case, table.n, table.basis, {
+        (i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in row.items()}
+        for (i, j), row in table.table.items()})
+
+
+def _perturbed(table, i, j, k, delta):
+    out = StructureTable(table.case, table.n, table.basis, dict(table.table))
+    row = {**out.table[(i, j)]}
+    row[k] = row.get(k, Fraction(0)) + delta
+    out.table[(i, j)] = {m: c for m, c in row.items() if c}
+    return out
+
+
+def test_associativity_check_matches_all_triples(dim3, kap):
+    # the generator-only check against the walk over all triples, on the
+    # tables, on rescaled tables and on seeded one-coefficient perturbations,
+    # one inside a generator row and one inside a derived row
+    rng = seeded(1531)
+    for alg in (dim3, kap):
+        table = structure_constants(alg, 3)
+        nb = len(table.basis)
+        how = dict(_closure(table.basis, table.table))
+        generators = [i for i, h in how.items() if h is None]
+        derived = [i for i, h in how.items() if h is not None]
+        assert generators and derived
+        scaled = _rescaled(table, [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                                   for _ in range(nb)])
+        for t in (table, scaled):
+            assert t.check_associative() and _associative_by_all_triples(t)
+        cases = [(generators[-1], rng.randrange(nb)), (derived[-1], rng.randrange(nb))]
+        cases += [(rng.randrange(nb), rng.randrange(nb)) for _ in range(30)]
+        verdicts = []
+        for n, (i, j) in enumerate(cases):
+            delta = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            bad = _perturbed(scaled if n % 2 else table, i, j, rng.randrange(nb), delta)
+            verdicts.append(bad.check_associative())
+            assert verdicts[-1] == _associative_by_all_triples(bad), (i, j)
+        assert not verdicts[0] and not verdicts[1]
 
 
 def test_brauer_images_match_fresh_normalize(dim3, kap):

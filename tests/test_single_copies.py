@@ -81,3 +81,21 @@ def test_one_dense_elimination(monkeypatch):
         calls.clear()
         run()
         assert calls, name
+
+
+def test_one_row_closure(dim3, monkeypatch):
+    # the table builder and the associativity check reach rows through the
+    # same centralizer._closure, so they cannot disagree on what a derived
+    # row is
+    calls = []
+    real = centralizer._closure
+
+    def counted(basis, table):
+        calls.append(len(basis))
+        return real(basis, table)
+
+    monkeypatch.setattr(centralizer, "_closure", counted)
+    table = centralizer.structure_constants(dim3, 2)
+    assert calls == [3]
+    assert table.check_associative()
+    assert calls == [3, 3]
