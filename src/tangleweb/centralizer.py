@@ -6,10 +6,11 @@ stacking and normalizing, the Brauer-algebra comparison for the
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
-from .linalg import sparse_rank
+from .linalg import clear_denominators, sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import compose_planar, join_ports
 from .rewrite import eval_diagram, normalize, normalize_diagrams
@@ -48,6 +49,12 @@ class StructureTable:
     def check_associative(self):
         """(e_i e_j) e_k == e_i (e_j e_k) for every basis triple; exact.
 
+        The walk runs over ints: the table is scaled once to integer cells
+        M = s t (`_numerators`, one positive s for every cell), and
+        both sides of every triple scale by s^2, so they agree on M exactly
+        when they agree on t.  This holds for any table, with any
+        denominators.
+
         Only the triples (g, j, k) with g a generator of `_closure` are
         walked.  Suppose (x y) z = x (y z) for every generator x and all
         basis y, z, and let e_i = c^-1 e_a e_s be a single-term cell of the
@@ -58,9 +65,10 @@ class StructureTable:
                             = e_a (e_s (y z)) = (e_a e_s) (y z),
         so it holds for e_i as well, and by induction for every row.  The
         generators are read off this table, not off how it was built, so the
-        verdict is the full triple walk's for any table.
+        verdict is the full triple walk's for any table.  Scaling changes
+        no cell's number of terms, so M has the same generators as t.
         """
-        t = self.table
+        _, t = _numerators(self.table)
         nb = len(self.basis)
         for g, how in _closure(self.basis, t):
             if how is not None:
@@ -133,6 +141,26 @@ def _expand(coeffs, cell):
     return {m: v for m, v in out.items() if v}
 
 
+def _numerators(cells, den=1):
+    """(d, num): a positive int d and integer cells num, num[key] / d ==
+    cells[key] / den for every key, with no common factor left in d and
+    the numerators.  `den` is a nonzero int.
+
+    All cells go through one clear_denominators row; den rides along as
+    one more entry, which comes back as d (negated with every numerator
+    when den is negative).
+    """
+    flat = {(key, m): v for key, cell in cells.items() for m, v in cell.items()}
+    flat[None] = den
+    flat = clear_denominators(flat)
+    d = flat.pop(None)
+    sign = -1 if d < 0 else 1
+    num = {key: {} for key in cells}
+    for (key, m), v in flat.items():
+        num[key][m] = sign * v
+    return sign * d, num
+
+
 def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     """Multiply basis diagrams by stacking and normalizing; exact.
 
@@ -146,32 +174,53 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     shortcut: the algebra is associative and its basis is independent
     (`matrix_model` certifies both), so every cell is the unique basis
     expansion of its product, whichever way it is computed.
+
+    The rows are built over the integers: row i is held as integer
+    numerators N_i over one positive denominator d_i, t[i][k] = N_i[k] / d_i.
+    A generator row's normal forms are converted once (`_numerators`).  A
+    derived row reads its factor off the numerators, c = N_a[s][i] / d_a,
+    so the formula above becomes the integer sums
+        N_i[k] = sum_m N_s[k][m] N_a[m]   over   d_i = N_a[s][i] d_s,
+    reduced by the row's gcd and with the sign moved into N_i
+    (`_numerators` again).  Scaling a row changes no cell's number of
+    terms, so `_closure` finds the same rows on the numerators as it would
+    on the Fractions.  The Fractions are written once, at the end, each
+    cell's as its numerators are freed; equal values share one Fraction.
     """
     if alg.case is CaseTag.DIM7 and n > 3:
         raise BudgetError("7-dimensional case budgeted to n <= 3")
     if alg.case is not CaseTag.DIM7 and n > 4:
         raise BudgetError("3-dimensional cases budgeted to n <= 4")
     basis = basis_diagrams(alg.case, n, n)
+    nb = len(basis)
     st = StructureTable(alg.case, n, basis, {})
     index, table = st.index, st.table
+    num, den = {}, {}       # (i, j) -> {k: int}; i -> d_i
     memo = {}
-    for i, how in _closure(basis, table):
+    for i, how in _closure(basis, num):
         if how is None:
+            row, d = {}, 1
             for j, dj in enumerate(basis):
                 out = normalize_diagrams([(compose_planar(basis[i], dj), 1)], alg,
                                          memo=memo)
-                row = {}
+                cell = row[j] = {}
                 for diag, c in out:
                     k = index.get(diag.canonical_encoding())
                     if k is None:
                         raise RuntimeError("product left the basis; normalization bug")
-                    row[k] = c
-                table[(i, j)] = row
+                    cell[k] = c
         else:
             a, s, c = how
-            for k in range(len(basis)):
-                row = _expand(table[(s, k)], lambda m: table[(a, m)])
-                table[(i, k)] = {p: v / c for p, v in row.items()}
+            row = {k: _expand(num[(s, k)], lambda m: num[(a, m)]) for k in range(nb)}
+            d = c * den[s]
+        den[i], row = _numerators(row, d)
+        for j, cell in row.items():
+            num[(i, j)] = cell
+    fraction = cache(Fraction)      # one object per distinct value in the table
+    for i in range(nb):
+        d = den[i]
+        for j in range(nb):
+            table[(i, j)] = {k: fraction(v, d) for k, v in num.pop((i, j)).items()}
     return st
 
 

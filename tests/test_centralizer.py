@@ -1,16 +1,17 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from tangleweb import centralizer
 from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.centralizer import (BudgetError, StructureTable, _closure,
-                                   brauer_compose, brauer_diagrams, brauer_e,
-                                   brauer_identity, brauer_map, brauer_sigma,
-                                   matching_word, matrix_model,
-                                   structure_constants)
+                                   _numerators, brauer_compose,
+                                   brauer_diagrams, brauer_e, brauer_identity,
+                                   brauer_map, brauer_sigma, matching_word,
+                                   matrix_model, structure_constants)
 from tangleweb.oracle import invariant_dim
 from tangleweb.planar import planar_to_word
 from tangleweb.rewrite import eval_diagram, normalize
@@ -117,6 +118,44 @@ def test_largest_tables_pinned(all_algebras, case, n, direct_rows, digest, monke
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_numerators_one_positive_reduced_denominator():
+    # cells / den as integer cells over one positive denominator, with the
+    # common factor and the sign moved out of it
+    assert _numerators({0: {0: 4, 1: -6}, 1: {}}, -8) == (4, {0: {0: -2, 1: 3}, 1: {}})
+    assert _numerators({0: {0: Fraction(1, 6)}, 1: {2: Fraction(-3, 4)}}) == (
+        12, {0: {0: 2}, 1: {2: -9}})
+
+
+def _derived_cell_by_fractions(t, a, s, c, k):
+    # the reference formula t[i][k] = c^-1 sum_m t[s][k][m] t[a][m], in Fractions
+    out = {}
+    for m, x in t[(s, k)].items():
+        for p, y in t[(a, m)].items():
+            out[p] = out.get(p, Fraction(0)) + x * y / c
+    return {p: v for p, v in out.items() if v}
+
+
+@pytest.mark.parametrize("case, n, factors, max_den", [
+    ("dim3", 4, {-2, 1, 3}, 1),
+    ("kap", 4, {-1, 1}, 16),
+    ("dim7", 3, {-6, 1, 7}, 1),
+], ids=["dim3-4", "kap-4", "dim7-3"])
+def test_integer_rows_match_fraction_formula(all_algebras, case, n, factors, max_den):
+    # every derived row, summed over integer numerators, equals the Fraction
+    # formula read off the finished table; these tables hold the factors c
+    # other than +-1 and kap's denominators up to 16
+    alg = next(a for a in all_algebras if a.case.value == case)
+    table = structure_constants(alg, n)
+    t = table.table
+    assert all(type(v) is Fraction for cell in t.values() for v in cell.values())
+    assert max(v.denominator for cell in t.values() for v in cell.values()) == max_den
+    derived = {i: h for i, h in _closure(table.basis, t) if h is not None}
+    assert {c for _, _, c in derived.values()} == factors
+    for i, (a, s, c) in derived.items():
+        for k in range(len(table.basis)):
+            assert t[(i, k)] == _derived_cell_by_fractions(t, a, s, c, k), (i, k)
+
+
 def _associative_by_all_triples(table):
     # the reference: (e_i e_j) e_k == e_i (e_j e_k) on every basis triple
     nb = len(table.basis)
@@ -177,6 +216,37 @@ def test_associativity_check_matches_all_triples(dim3, kap):
             verdicts.append(bad.check_associative())
             assert verdicts[-1] == _associative_by_all_triples(bad), (i, j)
         assert not verdicts[0] and not verdicts[1]
+
+
+def test_associativity_check_on_odd_denominators(dim3, kap, dim7):
+    # the integer walk scales a whole table by one factor; tables rescaled
+    # with denominators 3, 5, 7 and 9, and perturbations by deltas whose
+    # denominators (11, 13) divide none of the table's, get the verdict of
+    # the walk over all triples
+    rng = seeded(1601)
+    for alg, n in ((dim3, 3), (kap, 3), (dim7, 2)):
+        table = structure_constants(alg, n)
+        nb = len(table.basis)
+        scaled = _rescaled(table, [Fraction(rng.choice([-4, -2, -1, 1, 2]),
+                                            rng.choice([3, 5, 7, 9]))
+                                   for _ in range(nb)])
+        dens = lcm(*(v.denominator for cell in scaled.table.values()
+                     for v in cell.values()))
+        assert dens % (3 * 5 * 7) == 0
+        assert scaled.check_associative() and _associative_by_all_triples(scaled)
+        how = dict(_closure(scaled.basis, scaled.table))
+        rows = [max(i for i, h in how.items() if h is None)]
+        rows += [i for i, h in how.items() if h is not None][-1:]
+        cases = [(i, rng.randrange(nb)) for i in rows]
+        cases += [(rng.randrange(nb), rng.randrange(nb)) for _ in range(14)]
+        verdicts = []
+        for i, j in cases:
+            delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([11, 13]))
+            assert dens % delta.denominator
+            bad = _perturbed(scaled, i, j, rng.randrange(nb), delta)
+            verdicts.append(bad.check_associative())
+            assert verdicts[-1] == _associative_by_all_triples(bad), (i, j)
+        assert not any(verdicts[:len(rows)])
 
 
 def test_brauer_images_match_fresh_normalize(dim3, kap):

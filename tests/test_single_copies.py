@@ -99,3 +99,33 @@ def test_one_row_closure(dim3, monkeypatch):
     assert calls == [3]
     assert table.check_associative()
     assert calls == [3, 3]
+
+
+def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
+    # the table builder and the associativity check both form their sums in
+    # centralizer._expand, over integer numerators only; every scaling to
+    # integers goes through linalg.clear_denominators, so centralizer has no
+    # lcm or gcd of its own
+    calls = []
+    real = centralizer._expand
+
+    def counted(coeffs, cell):
+        def checked(l):
+            got = cell(l)
+            calls.append(all(type(v) is int for v in got.values()))
+            return got
+
+        calls.append(all(type(v) is int for v in coeffs.values()))
+        return real(coeffs, checked)
+
+    monkeypatch.setattr(centralizer, "_expand", counted)
+    table = centralizer.structure_constants(kap, 3)
+    assert calls and all(calls)
+    calls.clear()
+    assert table.check_associative()
+    assert calls and all(calls)
+    assert centralizer.clear_denominators is linalg.clear_denominators
+    src = inspect.getsource(centralizer)
+    for name in ("gcd", "lcm"):
+        assert not hasattr(centralizer, name), name
+        assert f"{name}(" not in src, name
