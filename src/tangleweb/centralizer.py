@@ -413,7 +413,25 @@ def sorted_key(d):
 # ------------------------------------------------------------------ model
 
 def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None):
-    """Faithfulness of the diagram basis as concrete tensor maps."""
+    """Faithfulness of the diagram basis as concrete tensor maps.
+
+    With phi the evaluation of a basis diagram as a tensor map,
+    `structure_match` holds when the cells of the generator rows of
+    `_closure` match the composed maps, phi(e_g) phi(e_j) = phi(t[g][j])
+    for every generator g and every j, and the table is associative
+    (`check_associative`).  That is every cell.  Let e_i = c^-1 e_a e_s be
+    a derived row, rows a and s reached before it and all their cells
+    matching.  Cell (a, s) gives phi(e_a) phi(e_s) = c phi(e_i), so
+    phi(e_i) = c^-1 phi(e_a) phi(e_s), and for every j
+        phi(e_i) phi(e_j) = c^-1 phi(e_a) phi(e_s) phi(e_j)
+                          = c^-1 phi(e_a) phi(e_s e_j)      (row s)
+                          = c^-1 phi(e_a (e_s e_j))         (row a, linearly)
+                          = c^-1 phi((e_a e_s) e_j)         (associativity)
+                          = phi(e_i e_j)                    (e_a e_s = c e_i),
+    so row i matches as well, and by induction every row does.  The rows
+    are read off this table, not off how it was built, so the verdict is
+    that of checking every cell, for any table.
+    """
     table = structure_constants(alg, n)
     basis = table.basis
     maps = [eval_diagram(d, alg) for d in basis]
@@ -421,17 +439,11 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     rank = sparse_rank(rows)
     independent = rank == len(basis)
 
-    consistent = True
-    for (i, j), row in table.table.items():
-        got = compose(maps[i], maps[j])
-        want = {}
-        for k, c in row.items():
-            for key, v in rows[k].items():
-                want[key] = want.get(key, 0) + c * v
-        if ({_flat_key(got, key): v for key, v in got.entries.items()}
-                != {key: v for key, v in want.items() if v}):
-            consistent = False
-            break
+    associative = table.check_associative()
+    consistent = associative and all(
+        _cell_matches(maps, rows, g, j, table.table[(g, j)])
+        for g, how in _closure(basis, table.table) if how is None
+        for j in range(len(basis)))
 
     if der is None:
         der = derivations(alg)
@@ -442,9 +454,20 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
         "structure_match": consistent,
         "equivariant": equivariant,
         "identity": table.check_identity(),
-        "associative": table.check_associative(),
+        "associative": associative,
         "table": table,
     }
+
+
+def _cell_matches(maps, rows, i, j, cell):
+    """phi(e_i) phi(e_j) == sum_k cell[k] phi(e_k), on flattened entries."""
+    got = compose(maps[i], maps[j])
+    want = {}
+    for k, c in cell.items():
+        for key, v in rows[k].items():
+            want[key] = want.get(key, 0) + c * v
+    return ({_flat_key(got, key): v for key, v in got.entries.items()}
+            == {key: v for key, v in want.items() if v})
 
 
 def _flat_key(t, key):

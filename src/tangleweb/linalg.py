@@ -50,46 +50,79 @@ def sparse_rank(rows):
     """Exact rank over Q of a sparse matrix given as an iterable of rows,
     consumed once.
 
-    Each row is scaled to a primitive integer row and elimination stays
-    fraction-free, with a gcd step after each combination.  One incremental
-    Gauss-Jordan loop, with the invariant that every pivot row is zero in
-    every other pivot column.  An incoming row is reduced in one pass,
-    subtracting each pivot row it hits once: a pivot row is zero in every
-    other pivot column, so a subtraction creates no new hit, and a
-    dependent row reaches zero without walking a chain of pivots.  A row
-    left nonzero pivots on the column held by the fewest pivot rows, ties
-    broken by the smallest |entry|, and that column is then eliminated from
-    the pivot rows that hold it, found through a column -> pivot rows index.
-
-    The cost follows the fill, the entries the pivot rows hold, rather than
-    the matrix's size; raises BudgetError once the fill exceeds MAX_FILL.
+    Each row is scaled to a primitive integer row and added to one
+    RowSpan; the rank is its size.  Rows go in by their largest column,
+    so the span fills the low columns before it meets the high ones; of
+    the rows with one largest column the sparsest go first, to keep the
+    fill down, and the rest of their columns, read from the largest down,
+    break the ties.  The cost follows the fill, the entries the pivot rows
+    hold, rather than the matrix's size; raises BudgetError once the fill
+    exceeds MAX_FILL.
     """
     pending = [r for r in map(clear_denominators, rows) if r]
-    # sparsest first keeps fill down
-    pending.sort(key=len)
-
-    pivots = {}     # pivot column -> pivot row, owned here and updated in place
-    holders = {}    # non-pivot column -> pivot columns whose row holds it
-    fill = 0        # entries held by the pivot rows
+    pending.sort(key=lambda r: (max(r), len(r), sorted(r, reverse=True)))
+    span = RowSpan()
+    add = span.add
     for row in pending:
+        add(row)
+    return len(span)
+
+
+class RowSpan:
+    """The span over Q of the integer rows added so far; the one exact
+    elimination behind sparse_rank and every incremental membership test.
+
+    Elimination is fraction-free, with a gcd step after each combination,
+    in one incremental Gauss-Jordan loop with the invariant that every
+    pivot row is zero in every other pivot column.  An incoming row is
+    reduced in one pass, subtracting each pivot row it hits once: a pivot
+    row is zero in every other pivot column, so a subtraction creates no
+    new hit, and a dependent row reaches zero without walking a chain of
+    pivots.  A row left nonzero pivots on the column held by the fewest
+    pivot rows, ties broken by the smallest |entry|, and that column is
+    then eliminated from the pivot rows that hold it, found through a
+    column -> pivot rows index.  Rows are dicts column -> int; an integer
+    row need not be primitive.
+    """
+
+    __slots__ = ("pivots", "holders", "fill")
+
+    def __init__(self):
+        self.pivots = {}    # pivot column -> pivot row, updated in place
+        self.holders = {}   # non-pivot column -> pivot columns whose row holds it
+        self.fill = 0       # entries held by the pivot rows
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def __contains__(self, row):
+        pivots = self.pivots
+        return not _reduce(row, row.keys() & pivots.keys(), pivots)
+
+    def add(self, row):
+        """Add an integer row; True when it was not in the span already.
+        Raises BudgetError once the pivot rows hold more than MAX_FILL
+        entries."""
+        pivots, holders = self.pivots, self.holders
         row = _reduce(row, row.keys() & pivots.keys(), pivots)
         if not row:
-            continue
+            return False
         col = min(row, key=lambda j: (len(holders.get(j, ())), abs(row[j]), j))
+        fill = self.fill
         for pc in holders.pop(col, ()):
             target = pivots[pc]
             fill -= len(target)
             _eliminate(target, pc, row, col, holders)
             fill += len(target)
         pivots[col] = row
-        fill += len(row)
+        self.fill = fill = fill + len(row)
         if fill > MAX_FILL:
             raise BudgetError(f"rank elimination holds {fill} entries, over the "
                               f"budget of {MAX_FILL}")
         for j in row:
             if j != col:
                 holders.setdefault(j, set()).add(col)
-    return len(pivots)
+        return True
 
 
 def _reduce(row, hits, pivots):

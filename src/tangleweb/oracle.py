@@ -10,6 +10,17 @@ the action rows that meet the zero-grade columns, the grading read off the
 derivation basis itself (_all_action_rows proves it exact).  certified_dim
 checks a dimension from both ends: invariant_dim from above, the exact rank
 of the caller's invariant vectors from below.
+
+Both invariant_dim and equivariance_check act only with a generating
+subset S of the derivation basis (generating_subset), whose bracket
+closure contains every basis element.  That is enough.  The action on
+V^(x)n is a map of Lie superalgebras, A_[X,Y] = A_X A_Y - s A_Y A_X with
+s = (-1)^{|X||Y|}.  So a vector killed by A_X and A_Y is killed by A_[X,Y],
+and by any combination of them: whatever S kills, everything S generates
+kills, and that contains every derivation.  The same holds for the
+transposed actions, as [A, B]^T = -s [A^T, B^T], and for commuting with a
+map f, as f A = A' f and f B = B' f give f [A, B] = [A', B'] f.  Nothing
+here needs the basis to be closed under brackets.
 """
 
 from __future__ import annotations
@@ -18,7 +29,8 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import CaseTag, CrossAlgebra
-from .linalg import BudgetError, clear_denominators, nullspace, sparse_rank
+from .linalg import (BudgetError, RowSpan, clear_denominators, nullspace,
+                     sparse_rank)
 from .tensor import TensorMap, compose
 
 # largest dim^n whose invariant dimension invariant_dim computes; dim7 at
@@ -41,12 +53,13 @@ class CertificateError(ArithmeticError):
 class DerivationAlgebra:
     """Basis of (super)derivations as columns-of-images matrices."""
 
-    __slots__ = ("alg", "mats", "parities")
+    __slots__ = ("alg", "mats", "parities", "subset")
 
     def __init__(self, alg, mats, parities):
         self.alg = alg
         self.mats = mats          # list of dim x dim Fraction matrices
         self.parities = parities  # parity per basis element
+        self.subset = None        # generating_subset, found on first use
 
     @property
     def dim(self):
@@ -129,15 +142,53 @@ def bracket(A, B, pA=0, pB=0):
     return {ij: v for ij, v in out.items() if v}
 
 
+def _integer_rows(der):
+    """Each basis element as a primitive integer row {(row, col): value}: a
+    nonzero multiple spans the same line and has the same kernel."""
+    return [clear_denominators(_entries(m)) for m in der.mats]
+
+
 def check_closed_under_bracket(der: DerivationAlgebra) -> bool:
-    rows = [_entries(m) for m in der.mats]
-    base_rank = sparse_rank(rows)
-    for i in range(der.dim):
-        for j in range(i + 1, der.dim):
-            br = bracket(rows[i], rows[j], der.parities[i], der.parities[j])
-            if sparse_rank(rows + [br]) != base_rank:
-                return False
-    return True
+    """True iff the bracket of every pair of basis elements, an element
+    with itself included (nonzero for an odd one), lies in their span."""
+    rows = _integer_rows(der)
+    span = RowSpan()
+    for row in rows:
+        span.add(row)
+    par = der.parities
+    return all(bracket(rows[i], rows[j], par[i], par[j]) in span
+               for i in range(der.dim) for j in range(i, der.dim))
+
+
+def generating_subset(der: DerivationAlgebra):
+    """Indices S of basis elements whose bracket closure contains every
+    basis element, chosen first fit: the basis is walked in order and an
+    element is kept unless it already lies in the closure of those kept
+    so far.  The walk stops as soon as every basis element lies in the
+    span found.  The closure of S then contains der, so a vector killed by
+    S is killed by der (the argument is in the module docstring).  S is
+    not the smallest such set: fewer elements act through longer bracket
+    chains, and ranking their rows was slower.
+
+    The closure grows as one RowSpan over integer rows: each new element
+    of it is bracketed with every element found so far, itself included,
+    until no bracket leaves the span.  Found once per instance and held in
+    der.subset."""
+    if der.subset is None:
+        rows = _integer_rows(der)
+        span, found, subset = RowSpan(), [], []
+        missing = [i for i, row in enumerate(rows) if row]
+        while missing:
+            subset.append(missing[0])
+            todo = [(rows[missing[0]], der.parities[missing[0]])]
+            while todo and missing:
+                x, p = todo.pop()
+                if span.add(x):
+                    found.append((x, p))
+                    todo.extend((bracket(x, y, p, q), p ^ q) for y, q in found)
+                    missing = [i for i in missing if rows[i] not in span]
+        der.subset = subset
+    return der.subset
 
 
 def check_kills_form(der: DerivationAlgebra) -> bool:
@@ -279,24 +330,29 @@ def _all_action_rows(der, n):
     """(|G0|, rows): the zero-grade column count of V^(x)n and the action
     rows whose rank r makes |G0| - r the invariant dimension.
 
-    Why it is exact.  The rank of the images D_i e_alpha, over every basis
-    element D_i and input index alpha, measures K, the intersection of the
-    kernels of the transposed actions A_i^T on V^(x)n: dim K is dim^n minus
-    that rank.  Every grading element of _index_grades is one of the D_i and
-    is even, so K lies in the kernel of its transposed action.  For a
-    diagonal H that kernel is spanned by the e_beta whose weights sum to 0.
-    For a rotation X (X^3 = -X, X^2 diagonal) the kernel of A_X^T is fixed,
-    over R, by exp(pi A_X^T) = exp(pi X^T)^(x)n; and (X^T)^2 = X^2 is
-    diagonal, so exp(pi X^T) = I + 2X^2 is the diagonal sign of X's parity
-    bit, and the kernel lies in the span of the e_beta whose bits sum to 0.
+    Why it is exact.  The rank of the images D_i e_alpha, over every
+    element D_i of the generating subset S and input index alpha, measures
+    K, the intersection of the kernels of the transposed actions A_i^T on
+    V^(x)n: dim K is dim^n minus that rank.  The bracket closure of S
+    contains every basis element, and a vector killed by A^T and B^T is
+    killed by [A, B]^T = -s [A^T, B^T] (module docstring), so K is killed
+    by the transposed action of every basis element.  Every grading element
+    of _index_grades is a basis element and is even, so K lies in the
+    kernel of its transposed action.  For a diagonal H that kernel is
+    spanned by the e_beta whose weights sum to 0.  For a rotation X
+    (X^3 = -X, X^2 diagonal) the kernel of A_X^T is fixed, over R, by
+    exp(pi A_X^T) = exp(pi X^T)^(x)n; and (X^T)^2 = X^2 is diagonal, so
+    exp(pi X^T) = I + 2X^2 is the diagonal sign of X's parity bit, and the
+    kernel lies in the span of the e_beta whose bits sum to 0.
     Hence K lies in the zero-grade span G0.  A vector of G0 pairs with a row
     only through the row's zero-grade part pi_0, so
     dim K = |G0| - rank{pi_0(D_i e_alpha)} exactly over Q.
 
-    The rows.  Each D_i is split by the grade delta = grade(b) - grade(a) of
-    its entries (a, b); the part of grade delta moves a tuple's grade by
-    -delta, so pi_0(D_i e_alpha) is that part applied to e_alpha, alpha of
-    grade delta, and no other alpha gives a row.  A homogeneous D_i has one
+    The rows.  Each D_i of S is split by the grade
+    delta = grade(b) - grade(a) of its entries (a, b); the part of grade
+    delta moves a tuple's grade by -delta, so pi_0(D_i e_alpha) is that
+    part applied to e_alpha, alpha of grade delta, and no other alpha gives
+    a row.  A homogeneous D_i has one
     part.  A non-homogeneous one, or a basis with no grading element (every
     grade zero, G0 everything), goes through the same loop and yields every
     row D_i e_alpha.
@@ -308,9 +364,11 @@ def _all_action_rows(der, n):
     classes, zero = _grade_classes(index, n)
 
     def rows():
-        for mat, dp in zip(der.mats, der.parities):
+        scaled = _integer_rows(der)
+        for i in generating_subset(der):
+            dp = der.parities[i]
             parts = {}
-            for (a, b), c in clear_denominators(_entries(mat)).items():
+            for (a, b), c in scaled[i].items():
                 parts.setdefault(_add_grade(index[b], index[a], -1), {})[a, b] = c
             for delta, part in parts.items():
                 alphas = classes.get(delta, ())
@@ -324,9 +382,10 @@ def invariant_dim(alg: CrossAlgebra, n: int,
                   der: DerivationAlgebra | None = None) -> int:
     """Dimension of the invariants of V^(x)n under the derivation algebra:
     the zero-grade column count |G0| minus the exact rank over Q of the
-    action rows that meet G0 (_all_action_rows proves this exact).  Needs
-    no diagrams; refused when dim^n exceeds EXACT_LIMIT or the elimination
-    holds more than linalg.MAX_FILL entries."""
+    action rows of generating_subset(der) that meet G0 (_all_action_rows
+    proves this exact).  Needs no diagrams; refused when dim^n exceeds
+    EXACT_LIMIT or the elimination holds more than linalg.MAX_FILL
+    entries."""
     if alg.dim ** n > EXACT_LIMIT:
         raise BudgetError(f"dim^n = {alg.dim ** n} exceeds the exact limit "
                           f"of {EXACT_LIMIT}")
@@ -358,11 +417,20 @@ def certified_dim(alg: CrossAlgebra, n: int, vectors,
 
 
 def equivariance_check(f: TensorMap, der: DerivationAlgebra | None = None) -> bool:
-    """True iff f commutes with every derivation (super-signed action)."""
+    """True iff f commutes with every derivation (super-signed action).
+
+    Only the elements of generating_subset(der) are tried.  If f commutes
+    with the actions of A and of B, f A_in = A_out f and f B_in = B_out f,
+    then for the super-bracket, s = (-1)^{|A||B|},
+        f [A, B]_in = A_out f B_in - s B_out f A_in
+                    = (A_out B_out - s B_out A_out) f = [A, B]_out f,
+    and f commutes with any combination of them.  So commuting with S
+    means commuting with everything S generates, and that contains every
+    derivation."""
     alg = f.algebra
     if der is None:
         der = derivations(alg)
-    for which in range(der.dim):
+    for which in generating_subset(der):
         a_in = action_matrix(der, which, f.n_in)
         a_out = action_matrix(der, which, f.n_out)
         if compose(f, a_in) != compose(a_out, f):

@@ -356,6 +356,27 @@ def test_matrix_model_catches_a_wrong_coefficient(dim3, monkeypatch):
     assert rep["independent"] and not rep["structure_match"]
 
 
+def test_matrix_model_catches_a_wrong_derived_row(dim3, kap, monkeypatch):
+    # only the generator rows' cells are composed; a wrong cell in a row
+    # that _closure derives is caught through associativity
+    real = structure_constants
+
+    def perturbed(alg, n):
+        table = real(alg, n)
+        derived = {i for i, how in centralizer._closure(table.basis, table.table)
+                   if how is not None}
+        (i, j), row = min((ij, row) for ij, row in table.table.items()
+                          if ij[0] in derived and row)
+        k = min(row)
+        table.table[(i, j)] = {**row, k: row[k] + 1}
+        return table
+
+    monkeypatch.setattr(centralizer, "structure_constants", perturbed)
+    for alg in (dim3, kap):
+        rep = matrix_model(alg, 3)
+        assert rep["independent"] and not rep["structure_match"], alg.case
+
+
 def test_kap_example_map(kap):
     # the centralizer element sending u (x) v (x) w to
     # sum_i u (x) ((v x w) x y_i) (x) x_i, built directly from dual bases,

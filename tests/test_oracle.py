@@ -6,13 +6,13 @@ import pytest
 from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.linalg import sparse_rank
 from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
-                              _all_action_rows, action_matrix, certified_dim,
-                              check_closed_under_bracket, check_kills_form,
-                              derivations, equivariance_check, invariant_dim,
-                              zero_grade)
+                              _all_action_rows, _entries, action_matrix, bracket,
+                              certified_dim, check_closed_under_bracket,
+                              check_kills_form, derivations, equivariance_check,
+                              generating_subset, invariant_dim, zero_grade)
 from tangleweb.rewrite import _eval_vector
 from tangleweb.tangle import parse_word
-from tangleweb.tensor import TensorMap, evaluate, identity_map
+from tangleweb.tensor import TensorMap, compose, evaluate, identity_map
 
 
 def test_derivation_dimensions(dim3, dim7, kap):
@@ -29,15 +29,81 @@ def test_derivations_structure(all_algebras):
         assert check_kills_form(der)
 
 
+def dropped(der, drop=2):
+    """The basis without element `drop`: not closed under brackets."""
+    keep = [i for i in range(der.dim) if i != drop]
+    return DerivationAlgebra(der.alg, [der.mats[i] for i in keep],
+                             [der.parities[i] for i in keep])
+
+
 def test_bracket_closure_detects_a_dropped_element(all_algebras):
     # without basis element 2 the brackets leave the span (for dim3 and kap
     # it is [D_0, D_1] itself, up to a scalar)
     for alg in all_algebras:
+        assert not check_closed_under_bracket(dropped(derivations(alg))), alg.case
+
+
+def bracket_span(elems):
+    """A basis of the span of every iterated bracket of `elems`, a list of
+    ({(a, b): value}, parity), grown level by level: every bracket of two
+    basis elements is tried, and one that raises sparse_rank is kept."""
+    basis = []
+    todo = list(elems)
+    while True:
+        grew = False
+        for x, p in todo:
+            if sparse_rank([e for e, _ in basis] + [x]) > len(basis):
+                basis.append((x, p))
+                grew = True
+        if not grew:
+            return basis
+        todo = [(bracket(x, y, p, q), p ^ q) for x, p in basis for y, q in basis]
+
+
+def closure_holds(der, subset, which):
+    """Whether the bracket closure of basis elements `subset` holds each of
+    the basis elements `which`."""
+    span = [e for e, _ in bracket_span([(_entries(der.mats[i]), der.parities[i])
+                                        for i in subset])]
+    return [sparse_rank(span + [_entries(der.mats[i])]) == len(span) for i in which]
+
+
+def test_generating_subset_generates(dim3, dim7, kap):
+    # first fit: an element is kept unless the brackets of those kept before
+    # it reach it; the closure of what is kept holds every basis element
+    for alg, size in ((dim3, 2), (kap, 3), (dim7, 5)):
         der = derivations(alg)
-        keep = [i for i in range(der.dim) if i != 2]
-        part = DerivationAlgebra(alg, [der.mats[i] for i in keep],
-                                 [der.parities[i] for i in keep])
-        assert not check_closed_under_bracket(part), alg.case
+        subset = generating_subset(der)
+        assert len(subset) == size, alg.case
+        assert all(closure_holds(der, subset, range(der.dim))), alg.case
+        assert generating_subset(der) is subset     # held on the instance
+        # each kept element is the first one the closure of those kept
+        # before it does not hold
+        for t, i in enumerate(subset):
+            assert closure_holds(der, subset[:t], range(i + 1)) == [
+                j not in subset[t:] for j in range(i + 1)], (alg.case, i)
+    assert generating_subset(derivations(dim7)) == [0, 1, 3, 4, 8]
+
+
+def test_generating_subset_of_a_non_closed_basis(all_algebras):
+    # the closure of the subset holds every element of the partial basis,
+    # so the subset has the partial basis's invariants and commutants even
+    # though the partial basis is not closed under brackets
+    for alg in all_algebras:
+        part = dropped(derivations(alg))
+        assert all(closure_holds(part, generating_subset(part), range(part.dim))), alg.case
+        for n in range(5):
+            assert invariant_dim(alg, n, der=part) == reference_dim(alg, n, part), \
+                (alg.case, n)
+        maps = [evaluate(parse_word(txt), alg)
+                for txt in ("tangle 2 -> 2 / x", "tangle 2 -> 1 / m", "tangle 0 -> 2 / cup")]
+        maps += [TensorMap(alg, 1, 1, {((0,), (1,)): Fraction(1)}),
+                 TensorMap(alg, 1, 1, {((0,), (0,)): Fraction(1)})]
+        for f in maps:
+            want = all(compose(f, action_matrix(part, w, f.n_in))
+                       == compose(action_matrix(part, w, f.n_out), f)
+                       for w in range(part.dim))
+            assert equivariance_check(f, part) == want, alg.case
 
 
 def test_leibniz_holds_on_basis(kap):

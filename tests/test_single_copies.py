@@ -31,6 +31,29 @@ def test_one_rank_path():
     assert not hasattr(linalg, "_row_mod")
 
 
+def test_one_span_test(dim3, monkeypatch):
+    # sparse_rank, the bracket-closure check and the search for a generating
+    # subset all eliminate through one linalg.RowSpan; no rank is recomputed
+    # from scratch per bracket
+    made = []
+
+    class Counted(linalg.RowSpan):
+        __slots__ = ()
+
+        def __init__(self):
+            made.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(linalg, "RowSpan", Counted)
+    monkeypatch.setattr(oracle, "RowSpan", Counted)
+    der = oracle.derivations(dim3)
+    assert oracle.check_closed_under_bracket(der) and len(made) == 1
+    assert oracle.generating_subset(der) == [0, 1] and len(made) == 2
+    assert oracle.generating_subset(der) == [0, 1] and len(made) == 2
+    assert linalg.sparse_rank([{0: 1}, {0: 2}]) == 1 and len(made) == 3
+    assert "sparse_rank" not in inspect.getsource(oracle.check_closed_under_bracket)
+
+
 def test_grading_reads_no_case_table():
     # the grading comes from the derivation basis alone, so the oracle stays
     # independent of the per-case tables it certifies
