@@ -13,7 +13,7 @@ from .basis import BudgetError, basis_diagrams
 from .linalg import clear_denominators, sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import compose_planar, join_ports
-from .rewrite import eval_diagram, normalize, normalize_diagrams
+from .rewrite import eval_diagram, normalize, normalize_diagrams, rules_for
 from .tangle import Generator, TangleWord, compose_tangles
 from .tensor import compose
 
@@ -244,26 +244,25 @@ def brauer_diagrams(n: int):
     return list(rec(points))
 
 
+def _straight(n, skip=()):
+    """The straight strands t_k -- b_k for k < n outside `skip`."""
+    return {frozenset((("t", k), ("b", k))) for k in range(n) if k not in skip}
+
+
 def brauer_identity(n):
-    return frozenset(frozenset((("t", i), ("b", i))) for i in range(n))
+    return frozenset(_straight(n))
 
 
 def brauer_sigma(n, i):
     """The transposition diagram swapping strands i, i+1."""
-    pairs = {frozenset((("t", i), ("b", i + 1))), frozenset((("t", i + 1), ("b", i)))}
-    for k in range(n):
-        if k not in (i, i + 1):
-            pairs.add(frozenset((("t", k), ("b", k))))
-    return frozenset(pairs)
+    return frozenset(_straight(n, (i, i + 1)) | {frozenset((("t", i), ("b", i + 1))),
+                                                 frozenset((("t", i + 1), ("b", i)))})
 
 
 def brauer_e(n, i):
     """The cap-cup diagram on strands i, i+1."""
-    pairs = {frozenset((("t", i), ("t", i + 1))), frozenset((("b", i), ("b", i + 1)))}
-    for k in range(n):
-        if k not in (i, i + 1):
-            pairs.add(frozenset((("t", k), ("b", k))))
-    return frozenset(pairs)
+    return frozenset(_straight(n, (i, i + 1)) | {frozenset((("t", i), ("t", i + 1))),
+                                                 frozenset((("b", i), ("b", i + 1)))})
 
 
 def brauer_compose(d1, d2, n):
@@ -302,15 +301,9 @@ def matching_word(n: int, diagram) -> TangleWord:
             target[top[1]] = bot[1]
 
     slices = []
-    # labels travel with the strands; cap labels are shared pair ids
-    pair_id = {}
-    for i in sorted(cap_partner):
-        j = cap_partner[i]
-        if (j, i) in pair_id:
-            pair_id[(i, j)] = pair_id[(j, i)]
-        else:
-            pair_id[(i, j)] = len(pair_id)
-    strands = [("cap", pair_id[(i, cap_partner[i])]) if i in cap_partner
+    # labels travel with the strands; a cap pair is labelled by its smaller
+    # top index
+    strands = [("cap", min(i, cap_partner[i])) if i in cap_partner
                else ("bot", target[i]) for i in range(n)]
 
     def emit_swap(pos):
@@ -362,7 +355,7 @@ def brauer_map(alg: CrossAlgebra, n: int):
         raise ValueError("the Brauer comparison applies to the 3-dimensional cases")
     if n > 4:
         raise BudgetError("Brauer comparison budgeted to n <= 4")
-    delta = Fraction(3) if alg.case is CaseTag.DIM3 else Fraction(-1)
+    delta = rules_for(alg).circle_value
     diagrams = sorted(brauer_diagrams(n), key=sorted_key)
     memo = {}
     images = {d: normalize(matching_word(n, d), alg, memo=memo) for d in diagrams}

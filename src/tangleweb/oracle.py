@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .algebra import CaseTag, CrossAlgebra
+from .algebra import CrossAlgebra
 from .linalg import (BudgetError, RowSpan, clear_denominators, nullspace,
                      sparse_rank)
 from .tensor import TensorMap, compose
@@ -78,7 +78,7 @@ def derivations(alg: CrossAlgebra) -> DerivationAlgebra:
     par = alg.parity
     mats = []
     parities = []
-    dpars = (0,) if alg.case is not CaseTag.KAP else (0, 1)
+    dpars = (0, 1) if any(par) else (0,)   # with no odd basis vector, odd maps are 0
     for dpar in dpars:
         slots = [(a, b) for a in range(d) for b in range(d)
                  if (par[a] + par[b]) % 2 == dpar]

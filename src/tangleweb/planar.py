@@ -234,12 +234,17 @@ class PlanarDiagram:
         return True
 
     def _check_genus(self):
-        """Euler check of the boundary closure: the map must embed in the disk
-        with the declared circle order."""
+        """Euler count of the boundary closure: the map must embed in the disk
+        with the declared circle order.
+
+        A hub vertex with one arc to each boundary point, in circle order,
+        closes the diagram up.  Each component of the closed-up map is a
+        closed orientable surface, with V - E + F = 2 - 2g <= 2, so the
+        count over the whole map reaches 2c, for its c components, exactly
+        when every component is a sphere."""
         sigma = {}
-        for vid, triple in self.rot.items():
-            for slot, h in enumerate(triple):
-                sigma[h] = triple[(slot + 1) % 3]
+        for a, b, c in self.rot.values():
+            sigma[a], sigma[b], sigma[c] = b, c, a
         pairing = dict(self.pairing)
         refs = circle_refs(self.n_in, self.n_out)
         k = len(refs)
@@ -257,53 +262,35 @@ class PlanarDiagram:
         for idx in range(k):
             sigma[hub[idx]] = hub[(idx + 1) % k]
 
-        if not pairing:
-            return
-
-        comp = {}
-        tag = 0
-        for h0 in pairing:
-            if h0 in comp:
-                continue
-            stack = [h0]
-            while stack:
-                h = stack.pop()
-                if h in comp:
-                    continue
-                comp[h] = tag
-                stack.append(pairing[h])
-                stack.append(sigma[h])
-            tag += 1
-
-        from collections import defaultdict
-        verts = defaultdict(int)
-        edges = defaultdict(int)
-        faces = defaultdict(int)
-        for vid, triple in self.rot.items():
-            verts[comp[triple[0]]] += 1
-        if k:
-            hub_tag = comp[hub[0]]
-            verts[hub_tag] += 1  # the hub vertex
-            for ref in refs:
-                verts[comp[self.boundary_halfedge(ref)]] += 1
-        for h, p in pairing.items():
-            if h < p:
-                edges[comp[h]] += 1
+        # V - E, V the trivalent vertices, the hub and one per boundary point
+        euler = len(self.rot) + (k + 1 if k else 0) - len(pairing) // 2
+        comps = 0
         seen = set()
         for h0 in pairing:
             if h0 in seen:
                 continue
+            comps += 1
+            stack = [h0]
+            while stack:       # each vertex whole: its half-edges' sigma orbit
+                cur = stack.pop()
+                while cur not in seen:
+                    seen.add(cur)
+                    stack.append(pairing[cur])
+                    cur = sigma[cur]
+        seen = set()
+        for h0 in pairing:
+            if h0 in seen:
+                continue
+            euler += 1       # one face
             cur = h0
             while True:
                 seen.add(cur)
                 cur = sigma[pairing[cur]]
                 if cur == h0:
                     break
-            faces[comp[h0]] += 1
-        for t in edges:
-            euler = verts[t] - edges[t] + faces[t]
-            if euler != 2:
-                raise PlanarError(f"not a disk embedding (Euler characteristic {euler})")
+        if euler != 2 * comps:
+            raise PlanarError(f"not a disk embedding (Euler characteristic {euler} "
+                              f"over {comps} components)")
 
     # -------------------------------------------------- canonical encoding
 
@@ -666,30 +653,24 @@ def _seed_component(d, frontier, pending, slices):
             hs = [d.boundary_halfedge(r) for r in comp_b]
             if any(h in frontier or d.pairing[h] in frontier for h in hs):
                 continue
-        if not comp_v and not comp_b:
-            continue
         target = (comp_v, comp_b)
         break
     if target is None:
         return False
     comp_v, comp_b = target
+    insert_at = len(frontier)
     if comp_b:
         jmin = min(r[1] for r in comp_b)
         seed_b = d.bot[jmin]
         a, b = d.pairing[seed_b], seed_b
-    else:
-        v0 = min(comp_v)
-        h = d.rot[v0][0]
-        a, b = h, d.pairing[h]
-
-    insert_at = len(frontier)
-    if comp_b:
-        jmin = min(r[1] for r in comp_b)
         for i, h in enumerate(frontier):
             w = d.loc[d.pairing[h]]
             if w[0] == BOT and w[1] > jmin:
                 insert_at = i
                 break
+    else:
+        h = d.rot[min(comp_v)][0]
+        a, b = h, d.pairing[h]
     slices.append([Generator.ID] * insert_at + [Generator.CUP]
                   + [Generator.ID] * (len(frontier) - insert_at))
     frontier[insert_at:insert_at] = [a, b]

@@ -115,15 +115,12 @@ class RuleSet:
             "tangle 2 -> 2 / m / w",         # vertical tree
             "tangle 2 -> 2 / id,w / m,id",   # rotated tree
         ]
-        # the rotated tree is dependent on the others in the 3-dim cases;
-        # solve against the case's basis so the solution is unique
-        if self.case is not CaseTag.DIM7:
-            texts = texts[:3]
+        # in the 3-dim cases the rotated tree depends on the others, and
+        # solve_exact sets that free column to 0
         words = [parse_word(t) for t in texts]
         target = evaluate(parse_word("tangle 2 -> 2 / x"), alg)
-        cols = [evaluate(w, alg).entries for w in words]
-        sol = solve_exact(cols, target.entries)
-        terms = [(w, c) for w, c in zip(words, sol) if c]
+        terms = _solve_terms(words, [evaluate(w, alg).entries for w in words],
+                             target.entries)
         # verify loudly (solve_exact already checked; this is the contract)
         acc = None
         for w, c in terms:
@@ -140,9 +137,7 @@ class RuleSet:
         _, legs = _face_parts(pattern, pattern.internal_faces()[0])
         target = _eval_vector(pattern, alg)
         patches = basis_diagrams(self.case, k, 0)
-        cols = [_eval_vector(p, alg) for p in patches]
-        sol = solve_exact(cols, target)
-        terms = [(p, c) for p, c in zip(patches, sol) if c]
+        terms = _solve_terms(patches, [_eval_vector(p, alg) for p in patches], target)
         return {"k": k, "order": _stub_positions(pattern, legs), "terms": terms}
 
     def _derive_rotation(self):
@@ -158,8 +153,7 @@ class RuleSet:
         p2 = build_normalized(4, 0, ((1, 2), (3, 0)))
         target = _eval_vector(t_a, alg)
         patches = [t_b, p1, p2]
-        sol = solve_exact([_eval_vector(p, alg) for p in patches], target)
-        terms = [(p, c) for p, c in zip(patches, sol) if c]
+        terms = _solve_terms(patches, [_eval_vector(p, alg) for p in patches], target)
         # sanity: the rotated tree must participate, else cycles cannot shrink
         if not any(p is t_b for p, _ in terms):
             raise RewriteError("rotation rule degenerate")
@@ -167,6 +161,12 @@ class RuleSet:
                     if t_a.loc[h][0] == VERT and t_a.loc[p][0] == VERT)
         return {"order": _stub_positions(t_a, _h_pattern_legs(t_a, a, b)),
                 "terms": terms}
+
+
+def _solve_terms(items, cols, target):
+    """The nonzero terms (item, coeff) of the exact solution of
+    sum coeff * col = target, item i standing for column i."""
+    return [(item, c) for item, c in zip(items, solve_exact(cols, target)) if c]
 
 
 _RULESETS = {}

@@ -184,3 +184,20 @@ def test_compose_planar_width_mismatch():
     b = word_to_planar(parse_word("tangle 3 -> 3"))
     with pytest.raises(PlanarError):
         compose_planar(a, b)
+
+
+def test_euler_count_sees_one_torus_beside_a_disk():
+    # the H word beside a closed theta is planar; reversing the rotation at
+    # one theta vertex makes that component a torus (Euler characteristic 0),
+    # which the count over the whole closed-up map must still reject
+    d = word_to_planar(parse_word("tangle 2 -> 2 / m / w / cup,id,id / w,id,id,id"
+                                  " / id,m,id,id / cap,id,id"))
+    (theta, _), = [c for c in d.components() if not c[1]]
+    v = min(theta)
+    a, b, c = d.rot[v]
+    d.rot[v] = (a, c, b)
+    for slot, h in enumerate(d.rot[v]):
+        d.loc[h] = ("v", v, slot)
+    with pytest.raises(PlanarError):
+        d.check_valid()
+    assert word_to_planar(parse_word(TWO_CLOSED)).check_valid()

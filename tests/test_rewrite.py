@@ -336,3 +336,39 @@ def test_strand_budget(dim3, monkeypatch):
     normalize(parse_word("tangle 2 -> 2 / cup, id, id / cap, id, id"), dim3)
     with pytest.raises(BudgetError):
         normalize(parse_word("tangle 2 -> 2 / cup, cup, id, id / cap, cap, id, id"), dim3)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_rotate_face_step_is_sound(dim3, kap, k):
+    # a smallest face of six or more sides is shrunk by the tree rotation
+    # in the 3-dimensional cases
+    pattern = rewrite._gon_pattern(k)
+    for alg in (dim3, kap):
+        trace = RewriteTrace(alg.case)
+        out = normalize_diagrams([(pattern, Fraction(1))], alg, trace=trace)
+        assert f"rotate-face{k}" in [r["rule"] for r in trace.as_rows()]
+        assert recombine(out, alg, k, 0) == eval_diagram(pattern, alg)
+
+
+class _ValidatingTrace(RewriteTrace):
+    """A trace that holds every surgery outcome to check_valid."""
+
+    def __init__(self, case):
+        super().__init__(case)
+        self.outcomes = 0
+
+    def record(self, rule, location, befmeasure, outcomes):
+        for d2, _ in outcomes:
+            assert d2.check_valid()
+        self.outcomes += len(outcomes)
+        super().record(rule, location, befmeasure, outcomes)
+
+
+def test_every_surgery_outcome_is_valid(all_algebras):
+    rng = seeded(43)
+    for alg in all_algebras:
+        trace = _ValidatingTrace(alg.case)
+        strands = 4 if alg.case is CaseTag.DIM7 else 6
+        for _ in range(100):
+            normalize(random_word(rng, max_strands=strands, p_cross=0.3), alg, trace=trace)
+        assert trace.outcomes > 100, alg.case

@@ -4,7 +4,7 @@ import inspect
 import pathlib
 
 import tangleweb
-from tangleweb import basis, centralizer, linalg, oracle, rewrite, tensor
+from tangleweb import basis, centralizer, linalg, oracle, planar, rewrite, tensor
 
 SRC = pathlib.Path(tangleweb.__file__).parent
 
@@ -58,7 +58,8 @@ def test_grading_reads_no_case_table():
     # the grading comes from the derivation basis alone, so the oracle stays
     # independent of the per-case tables it certifies
     for fn in (oracle._index_grades, oracle._add_grade, oracle._grade_classes,
-               oracle.zero_grade, oracle._all_action_rows, oracle._sparse_mul):
+               oracle.zero_grade, oracle._all_action_rows, oracle._sparse_mul,
+               oracle.derivations):
         src = inspect.getsource(fn)
         assert ".case" not in src and "CaseTag" not in src, fn.__name__
 
@@ -152,3 +153,19 @@ def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
     for name in ("gcd", "lcm"):
         assert not hasattr(centralizer, name), name
         assert f"{name}(" not in src, name
+
+
+def test_case_facts_read_off_the_algebra():
+    # the crossing rule solves against the same four words in every case,
+    # and the Brauer loop value is the derived circle value, not a literal
+    assert "CaseTag" not in inspect.getsource(rewrite.RuleSet._derive_crossing)
+    src = inspect.getsource(centralizer.brauer_map)
+    assert "Fraction(" not in src and "rules_for(alg).circle_value" in src
+
+
+def test_one_euler_count():
+    # planarity is one V - E + F = 2c over the closed-up map, with no
+    # counters kept per component
+    src = inspect.getsource(planar.PlanarDiagram._check_genus)
+    for name in ("defaultdict", "import", "comp["):
+        assert name not in src, name
