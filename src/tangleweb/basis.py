@@ -203,8 +203,18 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
     Grows diagrams boundary-first: the first open stub of the active region
     either connects to another stub of that region (splitting it) or meets a
     fresh trivalent vertex.  Any face completed with fewer than six sides
-    prunes the branch, and no branch grows past web_vertex_bound(n + m)
-    vertices.  That bound holds for every k = n + m, so no web is left out:
+    prunes the branch.  Each open region carries a cap, the most vertices
+    its area may still receive, starting from web_vertex_bound(n + m) at
+    the root:
+      - a vertex met by a region with r stubs leaves a region of r + 1
+        stubs with cap min(cap - 1, web_vertex_bound(r + 1));
+      - a pairing that splits a region gives the inner part
+        min(cap, web_vertex_bound(inner stubs)), and the outer part, once
+        the inner one is closed, min(cap - vertices used inside,
+        web_vertex_bound(outer stubs)).
+    A region never receives more than its cap, so the root cap is the one
+    vertex budget of the whole search.  No web is left out, by the bound
+    below (steps 1-5) applied to every region (step 6):
 
     Let W be a non-elliptic web with k boundary points (trivalent, no loops,
     every internal face with >= 6 sides), and X the sum of (sides - 6) over
@@ -251,6 +261,14 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
        connected parts (0 for x < 3).  The internal faces of W's c
        components have phi <= k - 3 in all by step 3, so F <= faces(k - 3)
        and V = k - 2c + 2F <= k - 2 + 2 faces(k - 3).
+    6. The part of W inside an open region of the search is itself a web
+       whose boundary points are the region's r stubs: its internal faces
+       are internal faces of W, and by step 1 it has no closed component.
+       So steps 1-5 bound it by web_vertex_bound(r).  It is also part of
+       the region it was split or grown from, so by induction from the
+       root (where it is all of W) it fits within that region's cap less
+       what the region has used elsewhere; no cap on the branch that
+       builds W is exceeded, and W is found.
 
     The bound is k - 2 for 2 <= k <= 5 and k for k = 6, 7 (the largest
     webs found), and it is met by the carbon skeletons of naphthalene
@@ -279,12 +297,21 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
             return
         results[out.canonical_encoding()] = out
 
-    def rec(region, others, vleft):
+    root = web_vertex_bound(k)
+    # regions grow by one stub per vertex, so none holds more than k + root
+    bound = [web_vertex_bound(r) for r in range(k + root + 1)]
+
+    def rec(region, cap, others):
+        """Close `region` (its open stubs in order) with at most `cap` more
+        vertices, then the regions on `others`: (stubs, the cap of the
+        region they were split from, the vertex count at the split)."""
         if not region:
             if not others:
                 record()
             else:
-                rec(others[-1], others[:-1], vleft)
+                outer, parent_cap, count = others[-1]
+                cap = parent_cap - (len(base.rot) - count)
+                rec(outer, min(cap, bound[len(outer)]), others[:-1])
             return
         s = region[0]
         for j in range(1, len(region)):
@@ -294,19 +321,22 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
                 inner = region[1:j]
                 outer = region[j + 1:]
                 if not inner:
-                    rec(outer, others, vleft)
-                elif len(inner) % 2 == 0 or vleft > 0:
-                    rec(inner, others + (outer,), vleft)
+                    rec(outer, min(cap, bound[len(outer)]), others)
+                else:
+                    inner_cap = min(cap, bound[len(inner)])
+                    if len(inner) % 2 == 0 or inner_cap > 0:
+                        rec(inner, inner_cap,
+                            others + ((outer, cap, len(base.rot)),))
             del base.pairing[s], base.pairing[t]
-        if vleft > 0:
+        if cap > 0:
             a, x, y = base.new_halfedge(), base.new_halfedge(), base.new_halfedge()
             vid = base.add_vertex((a, x, y))
             base.pair(s, a)
-            rec((x, y) + tuple(region[1:]), others, vleft - 1)
+            rec((x, y) + tuple(region[1:]), min(cap - 1, bound[len(region) + 1]), others)
             del base.pairing[s], base.pairing[a]
             base.drop_vertex(vid)
 
-    rec(tuple(stubs), (), web_vertex_bound(k))
+    rec(tuple(stubs), root, ())
     webs = [w for w in results.values() if is_basis_diagram(w, CaseTag.DIM7)]
     webs.sort(key=lambda w: w.canonical_encoding())
     return webs
@@ -315,7 +345,25 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
 # ------------------------------------------------------------- recognition
 
 def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
-    """Case predicate for normal-form diagrams (crossing-free input assumed)."""
+    """Case predicate for normal-form diagrams (crossing-free input assumed).
+
+    dim7: no loop, no edge from a vertex to itself, and every internal face
+    with at least six sides.
+
+    3-dimensional cases: d must be the left comb of its partition, the
+    diagram build_normalized makes from its blocks.  One walk checks this.
+    From each circle position p not yet assigned, in ascending order, the
+    chain starts: the boundary point meets either another boundary point
+    (a block of two) or a vertex, entered at half-edge a.  From a, sigma
+    gives o and sigma again gives b; b must reach a boundary point, and the
+    chain goes on out of o, to the next vertex (entered there) or to the
+    boundary point that ends it.  Along a chain the positions must rise, so
+    the walk meets each block's points in order from its smallest.  The
+    diagram is rejected unless every vertex is visited exactly once, and
+    unless the blocks nest without crossing: over the positions in order,
+    a block's first point opens it on one bracket stack, and each later
+    point must belong to the block on top, its last point closing it.
+    """
     case = CaseTag(case)
     if d.loops:
         return False
@@ -323,19 +371,44 @@ def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
         if find_self_loop(d) is not None:
             return False
         return all(len(f) >= 6 for f in d.internal_faces())
-    # 3-dimensional cases: disjoint union of canonical left-comb trees
-    refs = circle_refs(d.n_in, d.n_out)
-    pos_of = {ref: p for p, ref in enumerate(refs)}
+    pairing, loc, rot = d.pairing, d.loc, d.rot
+    ends = [d.boundary_halfedge(ref) for ref in circle_refs(d.n_in, d.n_out)]
+    pos_of = {h: p for p, h in enumerate(ends)}
+    block_of = [None] * len(ends)
     blocks = []
-    for comp_v, comp_b in d.components():
-        if not comp_b:
-            return False            # closed component
-        blocks.append(tuple(sorted(pos_of[r] for r in comp_b)))
-    if any(len(b) < 2 for b in blocks):
+    visited = set()
+    for p in range(len(ends)):
+        if block_of[p] is not None:
+            continue
+        block = [p]
+        h = pairing[ends[p]]
+        while h not in pos_of:
+            _, vid, slot = loc[h]
+            if vid in visited:
+                return False
+            visited.add(vid)
+            triple = rot[vid]
+            q = pos_of.get(pairing[triple[(slot + 2) % 3]])
+            if q is None:
+                return False
+            block.append(q)
+            h = pairing[triple[(slot + 1) % 3]]
+        block.append(pos_of[h])
+        if any(a >= b for a, b in zip(block, block[1:])):
+            return False
+        for q in block:
+            block_of[q] = len(blocks)
+        blocks.append(block)
+    if len(visited) != len(rot):
         return False
-    try:
-        want = build_normalized(d.n_in, d.n_out, tuple(sorted(blocks)))
-    except (ValueError, PlanarError):
-        return False
-    return want.canonical_encoding() == d.canonical_encoding()
-
+    open_blocks = []
+    for p in range(len(ends)):
+        b = block_of[p]
+        block = blocks[b]
+        if p == block[0]:
+            open_blocks.append(b)
+        elif open_blocks[-1] != b:
+            return False
+        elif p == block[-1]:
+            open_blocks.pop()
+    return True

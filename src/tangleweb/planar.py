@@ -219,9 +219,13 @@ class PlanarDiagram:
         for i, h in enumerate(self.top):
             if h is None or self.loc.get(h) != (TOP, i):
                 raise PlanarError(f"top boundary {i} inconsistent")
+            if h not in self.pairing:
+                raise PlanarError(f"top boundary {i} is unpaired")
         for j, h in enumerate(self.bot):
             if h is None or self.loc.get(h) != (BOT, j):
                 raise PlanarError(f"bottom boundary {j} inconsistent")
+            if h not in self.pairing:
+                raise PlanarError(f"bottom boundary {j} is unpaired")
         for vid, triple in self.rot.items():
             if len(triple) != 3 or len(set(triple)) != 3:
                 raise PlanarError(f"vertex {vid} is not trivalent")

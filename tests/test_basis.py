@@ -1,15 +1,19 @@
+import hashlib
 from cmath import exp, phase, pi
 from itertools import combinations
 
 import pytest
 
+from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
 from tangleweb.basis import (MAX_DIAGRAMS, BudgetError, build_normalized,
                              enumerate_catalan, enumerate_webs, is_basis_diagram,
                              noncrossing_partitions_min2, riordan, web_vertex_bound)
-from tangleweb.planar import PlanarError, open_boundary, word_to_planar
+from tangleweb.planar import PlanarError, circle_refs, open_boundary, word_to_planar
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate
+
+from conftest import random_word, seeded
 
 
 def brute_catalan_count(k):
@@ -92,6 +96,26 @@ def test_web_counts():
     assert len(enumerate_webs(4, 3)) == 120
     # the largest webs meet the vertex bound at k = 6 and 7
     assert [max(w.vertex_count() for w in webs[k]) for k in (6, 7)] == [6, 7]
+
+
+@pytest.mark.parametrize("n,m,budget,count,digest", [
+    (0, 0, 7, 1, "c57c3c838af3d6c6abf76283494fac8be8aafd457e12a0b741df29fa3a71be2c"),
+    (1, 0, 7, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 0, 7, 1, "84ec0b9c6a94d3151868f8a6cfcf8c4a7a6c226d64acb797134291508ceaa715"),
+    (3, 0, 7, 1, "3b2cdb1e6567fea16d6960268e74446f80504489615e463097272eb1acb24480"),
+    (4, 0, 7, 4, "78d1b1754e5d39f5c694a009f8d7268cdb7b592250c2eb5056d87e24ad71f2ab"),
+    (5, 0, 7, 10, "f70e95a94b0d1f1b1d44597d8d3c315a88ad8df4d0537c48691b5656de585f1a"),
+    (6, 0, 7, 35, "e714d771fc6eee9161091bb76d731451e8fc2b3493c0a25c456d089a87228769"),
+    (7, 0, 7, 120, "c870d64b957af98fbfd7748ba2d042a6ed2a4288f8916f66419921a40ed86e5b"),
+    (8, 0, 8, 455, "51641f53c43b5fa66c5c4674f7869417eba8f53f01de622d49a24726a498f336"),
+    (4, 4, 8, 455, "37bc31f89f7e4a1d33931284a3c2acc6752a2e462e252b55de6b8c2ae8dab0a2"),
+])
+def test_web_lists_pinned(n, m, budget, count, digest):
+    # the webs in order, pinned to the search that capped only the whole
+    # diagram's vertex count
+    webs = enumerate_webs(n, m, budget=budget)
+    text = b"\n".join(w.canonical_encoding() for w in webs)
+    assert (len(webs), hashlib.sha256(text).hexdigest()) == (count, digest)
 
 
 def test_web_vertex_bound_small_k():
@@ -246,3 +270,127 @@ def test_dim7_total_antisymmetry(dim7):
         for perm, sign in (((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
                            ((j, k, i), 1), ((k, i, j), 1)):
             assert bxy_z(*perm) == sign * base
+
+
+# ------------------------------------------------- left-comb recognition
+
+def _is_left_comb_by_rebuild(d):
+    """Reference for the 3-dimensional is_basis_diagram: rebuild the left
+    comb of d's partition with build_normalized and compare canonical
+    encodings."""
+    if d.loops:
+        return False
+    pos_of = {ref: p for p, ref in enumerate(circle_refs(d.n_in, d.n_out))}
+    blocks = []
+    for _, comp_b in d.components():
+        if not comp_b:
+            return False            # closed component
+        blocks.append(tuple(sorted(pos_of[r] for r in comp_b)))
+    if any(len(b) < 2 for b in blocks):
+        return False
+    try:
+        want = build_normalized(d.n_in, d.n_out, tuple(sorted(blocks)))
+    except (ValueError, PlanarError):
+        return False
+    return want.canonical_encoding() == d.canonical_encoding()
+
+
+def _assert_recognizers_agree(d):
+    want = _is_left_comb_by_rebuild(d)
+    for case in (CaseTag.DIM3, CaseTag.KAP):
+        assert is_basis_diagram(d, case) == want, (d.to_json_obj(), want)
+    return want
+
+
+def _reverse_rotation(d, v):
+    out = d.copy()
+    out.rot[v] = out.rot[v][::-1]
+    for slot, h in enumerate(out.rot[v]):
+        out.loc[h] = ("v", v, slot)
+    return out
+
+
+def _swap_pairings(d, h1, h2):
+    out = d.copy()
+    p1, p2 = out.pairing[h1], out.pairing[h2]
+    out.pair(h1, p2)
+    out.pair(h2, p1)
+    return out
+
+
+def _perturbations(d, rng, count):
+    """Copies of d with one vertex rotation reversed, and with the far ends
+    of two edges swapped."""
+    for v in sorted(d.rot):
+        yield _reverse_rotation(d, v)
+    edges = sorted(h for h, p in d.pairing.items() if h < p)
+    for _ in range(count if len(edges) >= 2 else 0):
+        h1, h2 = rng.sample(edges, 2)
+        yield _swap_pairings(d, h1, h2)
+
+
+def test_left_comb_walk_matches_rebuild_on_catalan_diagrams():
+    rng = seeded(71)
+    agreed, perturbed = 0, []
+    for k in range(9):
+        for n in range(k + 1):
+            for t in enumerate_catalan(n, k - n):
+                assert _assert_recognizers_agree(t.diagram)
+                agreed += 1
+                if k <= 7:
+                    perturbed += [_assert_recognizers_agree(p)
+                                  for p in _perturbations(t.diagram, rng, 2)]
+    assert agreed == sum((k + 1) * riordan(k) for k in range(9))
+    # a few swaps wire another partition's left comb; the rest are rejected
+    assert len(perturbed) > 1500 and 0 < sum(perturbed) < len(perturbed) / 10
+
+
+def test_left_comb_walk_matches_rebuild_while_normalizing(dim3, kap, monkeypatch):
+    # every diagram the rewrite engine meets, before and after each step
+    met = []
+    real = rewrite._find_step
+
+    def recording(d, rules, strategy):
+        met.append(d)
+        return real(d, rules, strategy)
+
+    monkeypatch.setattr(rewrite, "_find_step", recording)
+    rng = seeded(72)
+    for alg in (dim3, kap):
+        for _ in range(100):
+            w = random_word(rng, max_slices=8, max_strands=6, p_cross=0.25)
+            rewrite.normalize(w, alg)
+    monkeypatch.undo()
+    verdicts = [_assert_recognizers_agree(d) for d in met]
+    assert len(verdicts) > 1500 and 0 < sum(verdicts) < len(verdicts)
+    perturbed = [_assert_recognizers_agree(p)
+                 for d in met[::5] for p in _perturbations(d, rng, 2)]
+    assert len(perturbed) > 2000 and 0 < sum(perturbed) < len(perturbed)
+
+
+def _wire_combs(n, m, blocks):
+    """Left combs chained as in build_normalized, with no planarity check."""
+    d, bnd = open_boundary(n, m)
+    for pts in blocks:
+        prev = bnd[pts[0]]
+        for p in pts[1:-1]:
+            a, o, b = d.new_halfedge(), d.new_halfedge(), d.new_halfedge()
+            d.add_vertex((a, o, b))
+            d.pair(prev, a)
+            d.pair(b, bnd[p])
+            prev = o
+        d.pair(prev, bnd[pts[-1]])
+    return d
+
+
+@pytest.mark.parametrize("blocks", [((0, 2), (1, 3)), ((0, 2, 4), (1, 3, 5)),
+                                    ((0, 3), (1, 2, 4))])
+def test_crossing_partition_is_not_a_basis_diagram(blocks):
+    k = max(max(b) for b in blocks) + 1
+    d = _wire_combs(k, 0, blocks)
+    with pytest.raises(PlanarError):
+        d.check_valid()
+    assert not _assert_recognizers_agree(d)
+    # the same wiring without the crossing is the basis diagram
+    assert _wire_combs(4, 0, ((0, 3), (1, 2))).canonical_encoding() == \
+        build_normalized(4, 0, ((0, 3), (1, 2))).canonical_encoding()

@@ -201,3 +201,17 @@ def test_euler_count_sees_one_torus_beside_a_disk():
     with pytest.raises(PlanarError):
         d.check_valid()
     assert word_to_planar(parse_word(TWO_CLOSED)).check_valid()
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (0, 1)], ids=["top", "bottom"])
+def test_unpaired_boundary_point_rejected(n, m):
+    # a boundary stub paired with nothing is a PlanarError, not a KeyError
+    # from the Euler count
+    d = PlanarDiagram(n, m)
+    h = d.new_halfedge()
+    if n:
+        d.set_top(0, h)
+    else:
+        d.set_bot(0, h)
+    with pytest.raises(PlanarError, match="unpaired"):
+        d.check_valid()

@@ -169,3 +169,24 @@ def test_one_euler_count():
     src = inspect.getsource(planar.PlanarDiagram._check_genus)
     for name in ("defaultdict", "import", "comp["):
         assert name not in src, name
+
+
+def test_one_web_vertex_budget():
+    # each open region of the web search carries its own vertex cap, and the
+    # root cap is the whole search's budget: no global count beside it
+    src = inspect.getsource(basis.enumerate_webs)
+    assert "vleft" not in src
+    assert src.count("def rec(region, cap, others)") == 1
+
+
+def test_left_combs_recognized_without_rebuilding(monkeypatch):
+    # build_normalized is the one left-comb builder; the 3-dimensional
+    # recognizer walks the diagram instead of building a reference copy
+    diagrams = [t.diagram for t in basis.enumerate_catalan(3, 3)]
+
+    def refuse(*args):
+        raise AssertionError("is_basis_diagram built a left comb")
+
+    monkeypatch.setattr(basis, "build_normalized", refuse)
+    assert all(basis.is_basis_diagram(d, basis.CaseTag.DIM3) for d in diagrams)
+    assert "build_normalized(" not in inspect.getsource(basis.is_basis_diagram)
