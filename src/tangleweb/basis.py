@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .algebra import CaseTag
 from .linalg import BudgetError
-from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
-                     open_boundary)
+from .planar import VERT, PlanarDiagram, PlanarError, circle_refs, open_boundary
 
 
 # Catalan diagrams one request may build or count: riordan(15) = 83,097 is
@@ -347,30 +346,47 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
 def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
     """Case predicate for normal-form diagrams (crossing-free input assumed).
 
-    dim7: no loop, no edge from a vertex to itself, and every internal face
-    with at least six sides.
+    dim7: no loop and every internal face with at least six sides; an edge
+    from a vertex to itself bounds a one-sided face, so the face test
+    rejects it too.
 
-    3-dimensional cases: d must be the left comb of its partition, the
-    diagram build_normalized makes from its blocks.  One walk checks this.
-    From each circle position p not yet assigned, in ascending order, the
-    chain starts: the boundary point meets either another boundary point
-    (a block of two) or a vertex, entered at half-edge a.  From a, sigma
-    gives o and sigma again gives b; b must reach a boundary point, and the
-    chain goes on out of o, to the next vertex (entered there) or to the
-    boundary point that ends it.  Along a chain the positions must rise, so
-    the walk meets each block's points in order from its smallest.  The
-    diagram is rejected unless every vertex is visited exactly once, and
-    unless the blocks nest without crossing: over the positions in order,
-    a block's first point opens it on one bracket stack, and each later
-    point must belong to the block on top, its last point closing it.
+    3-dimensional cases: no loop, and d is the left comb of its partition
+    (`comb_defect` is None).
     """
     case = CaseTag(case)
     if d.loops:
         return False
     if case is CaseTag.DIM7:
-        if find_self_loop(d) is not None:
-            return False
         return all(len(f) >= 6 for f in d.internal_faces())
+    return comb_defect(d) is None
+
+
+def comb_defect(d: PlanarDiagram):
+    """None when d, loops aside, is the left comb of its partition, the
+    diagram build_normalized makes from its blocks; else an edge to rotate,
+    or False.
+
+    One walk checks this.  From each circle position p not yet assigned, in
+    ascending order, the chain starts: the boundary point meets either
+    another boundary point (a block of two) or a vertex, entered at
+    half-edge a.  From a, sigma gives o and sigma again gives b; b must
+    reach a boundary point, and the chain goes on out of o, to the next
+    vertex (entered there) or to the boundary point that ends it.  Along a
+    chain the positions must rise, so the walk meets each block's points in
+    order from its smallest.  The diagram is rejected unless every vertex is
+    visited exactly once, and unless the blocks nest without crossing: over
+    the positions in order, a block's first point opens it on one bracket
+    stack, and each later point must belong to the block on top, its last
+    point closing it.
+
+    The first vertex, in walk order, whose b leads into another vertex
+    gives the edge (b, pairing[b]); any other rejection gives False.  In a
+    forest each chain climbs the left spine of a tree rooted at its block's
+    last point, so that vertex is the lowest right-heavy one on a spine.
+    Rotating v(A, w(B, C)) to u(x(A, B), C) there takes the right weight
+    (rewrite._parse_component) of the two vertices from |B| + 2|C| - 2 to
+    |B| + |C| - 2, so the tree stage's measure falls at every move.
+    """
     pairing, loc, rot = d.pairing, d.loc, d.rot
     ends = [d.boundary_halfedge(ref) for ref in circle_refs(d.n_in, d.n_out)]
     pos_of = {h: p for p, h in enumerate(ends)}
@@ -388,9 +404,10 @@ def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
                 return False
             visited.add(vid)
             triple = rot[vid]
-            q = pos_of.get(pairing[triple[(slot + 2) % 3]])
+            b = triple[(slot + 2) % 3]
+            q = pos_of.get(pairing[b])
             if q is None:
-                return False
+                return (b, pairing[b]) if loc[pairing[b]][1] != vid else False
             block.append(q)
             h = pairing[triple[(slot + 1) % 3]]
         block.append(pos_of[h])
@@ -411,4 +428,4 @@ def is_basis_diagram(d: PlanarDiagram, case: CaseTag) -> bool:
             return False
         elif p == block[-1]:
             open_blocks.pop()
-    return True
+    return None

@@ -12,9 +12,9 @@ from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
 from .linalg import clear_denominators, sparse_rank
 from .oracle import DerivationAlgebra, derivations, equivariance_check
-from .planar import compose_planar, join_ports
+from .planar import compose_planar, join_ports, word_to_planar
 from .rewrite import eval_diagram, normalize, normalize_diagrams, rules_for
-from .tangle import Generator, TangleWord, compose_tangles
+from .tangle import Generator, TangleWord, compose_tangles, identity_word
 from .tensor import compose
 
 
@@ -31,11 +31,10 @@ class StructureTable:
         self.table = table      # dict (i, j) -> dict k -> Fraction
 
     def identity_index(self):
-        for k, d in enumerate(self.basis):
-            if d.vertex_count() == 0 and all(
-                    _strand_to_same_bottom(d, h) for h in d.top):
-                return k
-        raise ValueError("identity diagram not in basis")
+        k = self.index.get(word_to_planar(identity_word(self.n)).canonical_encoding())
+        if k is None:
+            raise ValueError("identity diagram not in basis")
+        return k
 
     def check_identity(self):
         e = self.identity_index()
@@ -92,11 +91,6 @@ class StructureTable:
                                      for k, c in sorted(row.items())}}
                          for (i, j), row in sorted(self.table.items())],
         }
-
-
-def _strand_to_same_bottom(d, h):
-    p = d.pairing[h]
-    return d.loc[p][0] == "b" and d.loc[h][1] == d.loc[p][1]
 
 
 def _closure(basis, table):

@@ -69,7 +69,7 @@ def cmd_normalize(args):
     alg = build(CaseTag(args.case))
     word = _load_word(args.word_file)
     trace = RewriteTrace(alg.case) if args.trace else None
-    out = normalize(word, alg, strategy=args.strategy, trace=trace)
+    out = normalize(word, alg, trace=trace)
     terms = [{"diagram": d.canonical_encoding().decode(), "coeff": format_fraction(c)}
              for d, c in sorted(out, key=lambda t: t[0].canonical_encoding())]
     payload = {"case": alg.case.value, "terms": terms}
@@ -217,7 +217,6 @@ def main(argv=None):
     p = sub.add_parser("normalize", help="normalize a word file to basis diagrams")
     add_case(p)
     p.add_argument("word_file")
-    p.add_argument("--strategy", choices=("first", "last"), default="first")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("basis", help="enumerate basis diagrams [n] -> [m]")

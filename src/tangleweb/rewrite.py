@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import CaseTag, CrossAlgebra
-from .basis import BudgetError, basis_diagrams, build_normalized, is_basis_diagram
+from .basis import (BudgetError, basis_diagrams, build_normalized, comb_defect,
+                    is_basis_diagram)
 from .linalg import solve_exact
 from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
                      join_ports, open_boundary, planar_to_word, word_to_planar)
@@ -375,14 +376,8 @@ def _apply(d, verts, legs, rule):
             for patch, coeff in rule["terms"]]
 
 
-def _pick(cands, strategy):
-    if not cands:
-        return None
-    return cands[0] if strategy == "first" else cands[-1]
-
-
-def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | None = None,
-              *, memo: dict | None = None):
+def normalize(words, alg: CrossAlgebra, *, trace: RewriteTrace | None = None,
+              memo: dict | None = None):
     """Normalize a word or linear combination of words to basis diagrams.
 
     Expands every crossing, traces each crossing-free word into a planar
@@ -396,11 +391,11 @@ def normalize(words, alg: CrossAlgebra, strategy="first", trace: RewriteTrace | 
     for w, c in words:
         for w2, c2 in _word_terms_without_crossings(w, rules):
             inputs.append((word_to_planar(w2), c * c2))
-    return normalize_diagrams(inputs, alg, strategy, trace, memo=memo)
+    return normalize_diagrams(inputs, alg, trace=trace, memo=memo)
 
 
-def normalize_diagrams(terms, alg: CrossAlgebra, strategy="first",
-                       trace: RewriteTrace | None = None, *, memo: dict | None = None):
+def normalize_diagrams(terms, alg: CrossAlgebra, *, trace: RewriteTrace | None = None,
+                       memo: dict | None = None):
     """Normalize (PlanarDiagram, coeff) pairs to basis diagrams.
 
     Returns a LinComb keyed by PlanarDiagram.  Evaluation is preserved
@@ -416,8 +411,8 @@ def normalize_diagrams(terms, alg: CrossAlgebra, strategy="first",
     and later occurrences, in this call or a later one given the same dict,
     reuse it.  This is exact because a normal form is the diagram's unique
     basis expansion, whatever the rewrite path.  A memo may only be shared
-    by calls with the same `alg` and `strategy`, and a `trace` then lists
-    only the reductions actually performed.
+    by calls with the same `alg`, and a `trace` then lists only the
+    reductions actually performed.
     """
     rules = rules_for(alg)
     out = LinComb()
@@ -444,7 +439,7 @@ def normalize_diagrams(terms, alg: CrossAlgebra, strategy="first",
             if form is not None:
                 _add_terms(acc, form, coeff)
                 continue
-        step = _find_step(d, rules, strategy)
+        step = _find_step(d, rules)
         if step is None:
             factor = 1
             if d.loops:
@@ -474,69 +469,35 @@ def _add_terms(acc, form, coeff):
         acc.add_term(d, coeff * c)
 
 
-def _find_step(d, rules, strategy):
+def _find_step(d, rules):
+    """(rule name, location, outcomes) of d's next rewrite, or None: a
+    lollipop, else the smallest face by (sides, least half-edge), else the
+    tree move comb_defect reads off the left-comb walk."""
     case = rules.case
     # lollipops kill the whole term
     v = find_self_loop(d)
     if v is not None:
         return ("lollipop", (v,), [])
-    faces = sorted(d.internal_faces(), key=lambda f: (len(f), min(f)))
-    small = [f for f in faces if len(f) <= 5]
-    if small:
-        f = _pick(small, strategy)
+    f = min(d.internal_faces(), key=lambda g: (len(g), min(g)), default=None)
+    if f is not None and len(f) <= 5:
         verts, legs = _face_parts(d, f)
         return (f"face{len(f)}", tuple(f),
                 _apply(d, verts, legs, rules.face_rules[len(f)]))
     if case is CaseTag.DIM7:
         return None   # faces of six or more sides are terminal, and so are trees
-    if faces:
+    if f is not None:
         # rotate an edge of the smallest face to shrink it
-        f = _pick(faces, strategy)
         a, b = d.pairing[f[0]], f[0]
         if d.loc[a][1] == d.loc[b][1]:
             raise RewriteError("face edge is a self-loop; priority violated")
         rule_name = f"rotate-face{len(f)}"
     else:
-        move = _find_tree_move(d, strategy)
+        move = comb_defect(d)
         if move is None:
             return None
+        if move is False:
+            raise RewriteError("a forest that is neither left combs nor rotatable")
         a, b = move
         rule_name = "rotate-tree"
     return (rule_name, (a, b), _apply(d, [d.loc[a][1], d.loc[b][1]],
                                       _h_pattern_legs(d, a, b), rules.rotation_terms))
-
-
-def _find_tree_move(d, strategy):
-    """Locate an association move: an edge under a right-heavy vertex."""
-    cands = []
-    for comp_v, comp_b in d.components():
-        if not comp_v:
-            continue
-        if not comp_b:
-            raise RewriteError("closed acyclic component cannot exist")
-        parsed = _parse_component(d, comp_v, comp_b)
-        if parsed is None:
-            raise RewriteError("cyclic component after face stage")
-        block, weight = parsed
-        if weight == 0:
-            continue
-        # find a vertex whose right child is internal; recover its half-edges
-        refs = circle_refs(d.n_in, d.n_out)
-        hit = _locate_right_heavy(d, d.boundary_halfedge(refs[block[-1]]))
-        if hit is not None:
-            cands.append(hit)
-    return _pick(cands, strategy)
-
-
-def _locate_right_heavy(d, h):
-    """First edge (parent-side half, child-side half) whose child is the
-    parent's right operand and itself internal, down the left spine."""
-    while True:
-        p = d.pairing[h]
-        if d.loc[p][0] != VERT:
-            return None
-        right = d.sigma(p)
-        rp = d.pairing[right]
-        if d.loc[rp][0] == VERT:
-            return (right, rp)
-        h = d.sigma(right)

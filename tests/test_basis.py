@@ -197,6 +197,9 @@ def test_is_basis_examples(dim3, dim7):
     assert not is_basis_diagram(bubble, CaseTag.DIM7)
     tripod = word_to_planar(parse_word("tangle 3 -> 0 / m,id / cap"))
     assert is_basis_diagram(tripod, CaseTag.DIM7)
+    # a self-loop bounds a one-sided face, which the face test rejects
+    lollipop = word_to_planar(parse_word("tangle 0 -> 1 / cup / m"))
+    assert not is_basis_diagram(lollipop, CaseTag.DIM7)
     # only left combs represent the 3-dimensional basis
     left = word_to_planar(parse_word("tangle 3 -> 1 / m,id / m"))
     right = word_to_planar(parse_word("tangle 3 -> 1 / id,m / m"))
@@ -350,9 +353,9 @@ def test_left_comb_walk_matches_rebuild_while_normalizing(dim3, kap, monkeypatch
     met = []
     real = rewrite._find_step
 
-    def recording(d, rules, strategy):
+    def recording(d, rules):
         met.append(d)
-        return real(d, rules, strategy)
+        return real(d, rules)
 
     monkeypatch.setattr(rewrite, "_find_step", recording)
     rng = seeded(72)

@@ -46,6 +46,11 @@ def test_usage_error_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--case", "dim9", "x"])
     assert exc.value.code == 2
+    # the rewrite order is fixed; normalize has no --strategy option
+    f = word_file(tmp_path, "tangle 2 -> 2 / x")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--case", "dim3", f, "--strategy", "last"])
+    assert exc.value.code == 2
 
 
 def test_normalize_json(tmp_path, capsys):

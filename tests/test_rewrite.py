@@ -6,11 +6,11 @@ import pytest
 
 from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import BudgetError, build_normalized, is_basis_diagram
-from tangleweb.planar import planar_to_word, word_to_planar
-from tangleweb.rewrite import (RewriteTrace, eval_diagram, normalize, normalize_diagrams,
-                               rules_for)
-from tangleweb.tangle import parse_word
+from tangleweb.basis import BudgetError, build_normalized, comb_defect, is_basis_diagram
+from tangleweb.planar import VERT, circle_refs, compose_planar, planar_to_word, word_to_planar
+from tangleweb.rewrite import (RewriteTrace, eval_diagram, measure, normalize,
+                               normalize_diagrams, rules_for)
+from tangleweb.tangle import TangleWord, parse_word
 from tangleweb.tensor import evaluate, switch_map, zero_map
 
 from conftest import random_word, seeded
@@ -176,15 +176,32 @@ def test_normalize_random_soundness(all_algebras):
             assert recombine(out, alg, w.n_in, w.n_out) == evaluate(w, alg)
 
 
-def test_confluence_two_strategies(all_algebras):
-    # two rule-application orders agree on 100 random words per case
+def test_confluence_across_a_split(all_algebras):
+    # a word's normal form is also the normal form of the products of its
+    # two halves' normal forms, split at a random slice boundary: another
+    # rewrite order reaches the same unique basis expansion
     rng = seeded(42)
+    reordered = 0
     for alg in all_algebras:
         for _ in range(100):
             w = random_word(rng, max_slices=5, max_strands=4, p_cross=0.3)
-            a = normalize(w, alg, strategy="first")
-            b = normalize(w, alg, strategy="last")
-            assert a == b, (alg.case, w.format())
+            cut = rng.randint(0, len(w.slices))
+            upper = TangleWord(w.n_in, _width_after(w, cut), w.slices[:cut])
+            lower = TangleWord(upper.n_out, w.n_out, w.slices[cut:])
+            whole_trace, split_trace = RewriteTrace(alg.case), RewriteTrace(alg.case)
+            want = normalize(w, alg, trace=whole_trace)
+            products = [(compose_planar(dl, du), cu * cl)
+                        for du, cu in normalize(upper, alg, trace=split_trace)
+                        for dl, cl in normalize(lower, alg, trace=split_trace)]
+            got = normalize_diagrams(products, alg, trace=split_trace)
+            assert got == want, (alg.case, w.format(), cut)
+            reordered += len(whole_trace.steps) != len(split_trace.steps)
+    assert reordered > 0
+
+
+def _width_after(w, cut):
+    """Strands at the slice boundary below the first `cut` slices of w."""
+    return sum(g.n_out for g in w.slices[cut - 1]) if cut else w.n_in
 
 
 def test_idempotence_on_basis(dim3, dim7, kap):
@@ -253,19 +270,23 @@ def test_hexagon_web_is_basis(dim7):
     assert out.terms == {hexagon: 1}
 
 
-@pytest.mark.parametrize("strategy", ["first", "last"])
-def test_shared_memo_matches_fresh_normalize(all_algebras, strategy):
+@pytest.mark.parametrize("start", ["first", "last"])
+def test_shared_memo_matches_fresh_normalize(all_algebras, start):
     # one memo across 100 seeded words per case gives what a fresh
-    # normalize of each word gives, in fewer rewrite steps
+    # normalize of each word gives, in fewer rewrite steps, whether the
+    # memo is filled from the first seeded word or from the last
     rng = seeded(43)
     for alg in all_algebras:
         memo = {}
         fresh_trace, memo_trace = RewriteTrace(alg.case), RewriteTrace(alg.case)
-        for _ in range(100):
-            w = random_word(rng, max_slices=6, max_strands=4, p_cross=0.3)
-            want = normalize(w, alg, strategy, fresh_trace)
-            got = normalize(w, alg, strategy, memo_trace, memo=memo)
-            assert got == want, (alg.case, strategy, w.format())
+        words = [random_word(rng, max_slices=6, max_strands=4, p_cross=0.3)
+                 for _ in range(100)]
+        if start == "last":
+            words.reverse()
+        for w in words:
+            want = normalize(w, alg, trace=fresh_trace)
+            got = normalize(w, alg, trace=memo_trace, memo=memo)
+            assert got == want, (alg.case, w.format())
         assert 0 < len(memo_trace.steps) < len(fresh_trace.steps)
 
 
@@ -372,3 +393,61 @@ def test_every_surgery_outcome_is_valid(all_algebras):
         for _ in range(100):
             normalize(random_word(rng, max_strands=strands, p_cross=0.3), alg, trace=trace)
         assert trace.outcomes > 100, alg.case
+
+
+def _find_tree_move(d):
+    """Reference for the tree stage's move, as found before it was read off
+    comb_defect: parse each component's right weight, then walk down from
+    the root of the first right-heavy one."""
+    refs = circle_refs(d.n_in, d.n_out)
+    for comp_v, comp_b in d.components():
+        if not comp_v:
+            continue
+        parsed = rewrite._parse_component(d, comp_v, comp_b)
+        assert comp_b and parsed is not None
+        block, weight = parsed
+        if weight:
+            hit = _locate_right_heavy(d, d.boundary_halfedge(refs[block[-1]]))
+            if hit is not None:
+                return hit
+    return None
+
+
+def _locate_right_heavy(d, h):
+    """First edge (parent-side half, child-side half) whose child is the
+    parent's right operand and itself internal, down the left spine."""
+    while True:
+        p = d.pairing[h]
+        if d.loc[p][0] != VERT:
+            return None
+        right = d.sigma(p)
+        rp = d.pairing[right]
+        if d.loc[rp][0] == VERT:
+            return (right, rp)
+        h = d.sigma(right)
+
+
+def test_tree_move_matches_the_component_parse(dim3, kap, monkeypatch):
+    # every diagram the tree stage meets: comb_defect finds a move exactly
+    # when the reference does, and each outcome of the step lowers measure
+    met = []
+    monkeypatch.setattr(rewrite, "comb_defect", lambda d: met.append(d) or comb_defect(d))
+    rng = seeded(73)
+    for alg in (dim3, kap):
+        met.clear()
+        for _ in range(200):
+            normalize(random_word(rng, max_slices=8, max_strands=6, p_cross=0.4), alg)
+        rules = rules_for(alg)
+        moves = same_edge = 0
+        for d in list(met):     # _find_step below records more
+            want, got = _find_tree_move(d), comb_defect(d)
+            assert got is not False and (got is None) == (want is None)
+            if got is None:
+                continue
+            moves += 1
+            same_edge += got == want
+            rule, at, outcomes = rewrite._find_step(d, rules)
+            assert rule == "rotate-tree" and at == got
+            before = measure(d, alg.case)
+            assert all(measure(d2, alg.case) < before for d2, _ in outcomes)
+        assert moves > 100 and 0 < same_edge < moves, alg.case

@@ -189,4 +189,32 @@ def test_left_combs_recognized_without_rebuilding(monkeypatch):
 
     monkeypatch.setattr(basis, "build_normalized", refuse)
     assert all(basis.is_basis_diagram(d, basis.CaseTag.DIM3) for d in diagrams)
-    assert "build_normalized(" not in inspect.getsource(basis.is_basis_diagram)
+    for fn in (basis.is_basis_diagram, basis.comb_defect):
+        assert "build_normalized(" not in inspect.getsource(fn), fn.__name__
+
+
+def test_one_left_comb_walk(dim3, monkeypatch):
+    # the tree stage reads its rotation off the walk that recognizes left
+    # combs, and the engine has one rewrite order, with no strategy knob
+    for name in ("_find_tree_move", "_locate_right_heavy", "_pick"):
+        assert not hasattr(rewrite, name), name
+    for fn in (rewrite.normalize, rewrite.normalize_diagrams, rewrite._find_step):
+        assert "strategy" not in inspect.signature(fn).parameters, fn.__name__
+    for fn in (rewrite.normalize, rewrite.normalize_diagrams):
+        params = inspect.signature(fn).parameters
+        for name in ("trace", "memo"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, (fn.__name__, name)
+    assert rewrite.comb_defect is basis.comb_defect
+    calls = []
+    real = basis.comb_defect
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(basis, "comb_defect", counted)
+    monkeypatch.setattr(rewrite, "comb_defect", counted)
+    right = tangleweb.word_to_planar(tangleweb.parse_word("tangle 3 -> 1 / id,m / m"))
+    assert not basis.is_basis_diagram(right, basis.CaseTag.DIM3) and calls == [right]
+    rule, _, _ = rewrite._find_step(right, rewrite.rules_for(dim3))
+    assert rule == "rotate-tree" and calls == [right, right]
