@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from .algebra import CaseTag
 from .linalg import BudgetError
-from .planar import VERT, PlanarDiagram, PlanarError, circle_refs, open_boundary
+from .planar import VERT, PlanarDiagram, circle_refs, open_boundary
 
 
 # Catalan diagrams one request may build or count: riordan(15) = 83,097 is
 # within it, riordan(16) = 227,475 is not.  The library's own largest
 # enumeration is riordan(10) = 603.
 MAX_DIAGRAMS = 100_000
+# boundary points one web search may have: k = 8 (455 webs) takes seconds,
+# k = 9 (1,792 webs) minutes.  The library's own largest search is k = 6.
+MAX_WEB_POINTS = 8
 
 
 def riordan(n: int) -> int:
@@ -128,10 +131,10 @@ def enumerate_catalan(n: int, m: int):
     return out
 
 
-def check_budget(k: int, budget: int):
-    """Refuse a web search over a boundary of size k past the budget."""
-    if k > budget:
-        raise BudgetError(f"boundary size {k} exceeds budget {budget}")
+def check_web_budget(k: int):
+    """Refuse a web search over more than MAX_WEB_POINTS boundary points."""
+    if k > MAX_WEB_POINTS:
+        raise BudgetError(f"boundary size {k} exceeds budget {MAX_WEB_POINTS}")
 
 
 def check_catalan_budget(k: int):
@@ -152,10 +155,9 @@ def _check_arities(n, m):
 
 def basis_diagrams(case: CaseTag, n: int, m: int):
     """The case's basis diagrams [n] -> [m], ordered by canonical encoding:
-    non-elliptic webs for dim7 (boundary budget at least 7), otherwise the
-    left-comb Catalan partitions."""
+    non-elliptic webs for dim7, otherwise the left-comb Catalan partitions."""
     if CaseTag(case) is CaseTag.DIM7:
-        return enumerate_webs(n, m, budget=max(7, n + m))
+        return enumerate_webs(n, m)
     return [t.diagram for t in enumerate_catalan(n, m)]
 
 
@@ -196,15 +198,18 @@ def web_vertex_bound(k: int) -> int:
     return k - 2 + 2 * faces[k - 3]
 
 
-def enumerate_webs(n: int, m: int, budget: int = 7):
+def enumerate_webs(n: int, m: int):
     """All non-elliptic webs [n] -> [m] by exhaustive planar search.
 
     Grows diagrams boundary-first: the first open stub of the active region
     either connects to another stub of that region (splitting it) or meets a
     fresh trivalent vertex.  Any face completed with fewer than six sides
-    prunes the branch.  Each open region carries a cap, the most vertices
-    its area may still receive, starting from web_vertex_bound(n + m) at
-    the root:
+    prunes the branch.  So every diagram recorded is a valid non-elliptic
+    web, and is recorded once: only a pairing closes a face, and faces_ok
+    checks both sides of it; no stub is paired with itself; every vertex
+    hangs off a region stub; and two branches differ in what some stub
+    meets.  Each open region carries a cap, the most vertices its area may
+    still receive, starting from web_vertex_bound(n + m) at the root:
       - a vertex met by a region with r stubs leaves a region of r + 1
         stubs with cap min(cap - 1, web_vertex_bound(r + 1));
       - a pairing that splits a region gives the inner part
@@ -275,11 +280,11 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
     """
     _check_arities(n, m)
     k = n + m
-    check_budget(k, budget)
+    check_web_budget(k)
 
     base, stubs = open_boundary(n, m)
 
-    results = {}
+    webs = []
 
     def faces_ok(h):
         for side in (h, base.pairing[h]):
@@ -287,14 +292,6 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
             if w is not None and len(w) < 6:
                 return False
         return True
-
-    def record():
-        out = base.copy()
-        try:
-            out.check_valid()
-        except PlanarError:
-            return
-        results[out.canonical_encoding()] = out
 
     root = web_vertex_bound(k)
     # regions grow by one stub per vertex, so none holds more than k + root
@@ -306,7 +303,7 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
         region they were split from, the vertex count at the split)."""
         if not region:
             if not others:
-                record()
+                webs.append(base.copy())
             else:
                 outer, parent_cap, count = others[-1]
                 cap = parent_cap - (len(base.rot) - count)
@@ -336,7 +333,6 @@ def enumerate_webs(n: int, m: int, budget: int = 7):
             base.drop_vertex(vid)
 
     rec(tuple(stubs), root, ())
-    webs = [w for w in results.values() if is_basis_diagram(w, CaseTag.DIM7)]
     webs.sort(key=lambda w: w.canonical_encoding())
     return webs
 

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import (CaseTag, build, cayley_hamilton_check, check_axioms,
                       format_fraction, skew_symmetrization_check)
-from .basis import (BudgetError, check_budget, check_catalan_budget, enumerate_catalan,
+from .basis import (BudgetError, check_catalan_budget, check_web_budget, enumerate_catalan,
                     enumerate_webs, riordan)
 from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
@@ -29,14 +28,6 @@ def _load_word(path):
         return parse_word(sys.stdin.read())
     with open(path, encoding="utf-8") as f:
         return parse_word(f.read())
-
-
-def _budget():
-    raw = os.environ.get("TANGLEWEB_BUDGET", "7")
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetError(f"TANGLEWEB_BUDGET must be an integer, not {raw!r}") from None
 
 
 def _arity(text):
@@ -82,7 +73,7 @@ def cmd_normalize(args):
 def cmd_basis(args):
     case = CaseTag(args.case)
     if case is CaseTag.DIM7:
-        diags = enumerate_webs(args.n, args.m, budget=_budget())
+        diags = enumerate_webs(args.n, args.m)
         items = [{"encoding": d.canonical_encoding().decode(),
                   "planar": d.to_json_obj()} for d in diags]
     else:
@@ -100,8 +91,7 @@ def cmd_dims(args):
     rank of the evaluations of the same basis diagrams."""
     case = CaseTag(args.case)
     if case is CaseTag.DIM7:
-        budget = _budget()
-        check_budget(args.nmax, budget)
+        check_web_budget(args.nmax)
     else:
         check_catalan_budget(args.nmax)
     alg = build(case)
@@ -111,7 +101,7 @@ def cmd_dims(args):
     for n in range(args.nmax + 1):
         row = {"n": n}
         if case is CaseTag.DIM7:
-            webs = enumerate_webs(n, 0, budget=budget)
+            webs = enumerate_webs(n, 0)
             row["webs"] = count = len(webs)
         else:
             row["riordan"] = count = riordan(n)

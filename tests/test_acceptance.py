@@ -197,7 +197,7 @@ def test_criterion_7_g2_dimensions(algebras):
     ok = True
     expected = [1, 0, 1, 1, 4, 10, 35]
     for k in range(7):
-        webs = enumerate_webs(k, 0, budget=7)
+        webs = enumerate_webs(k, 0)
         inv = certified_dim(alg, k, [_eval_vector(w, alg) for w in webs], der=der)
         if len(webs) != expected[k] or inv != expected[k]:
             ok = False

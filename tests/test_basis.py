@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from tangleweb import rewrite
+from tangleweb import basis, rewrite
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import (MAX_DIAGRAMS, BudgetError, build_normalized,
-                             enumerate_catalan, enumerate_webs, is_basis_diagram,
-                             noncrossing_partitions_min2, riordan, web_vertex_bound)
+from tangleweb.basis import (MAX_DIAGRAMS, MAX_WEB_POINTS, BudgetError, basis_diagrams,
+                             build_normalized, enumerate_catalan, enumerate_webs,
+                             is_basis_diagram, noncrossing_partitions_min2, riordan,
+                             web_vertex_bound)
 from tangleweb.planar import PlanarError, circle_refs, open_boundary, word_to_planar
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate
@@ -91,7 +92,7 @@ def test_catalan_families_at_3_3():
 
 def test_web_counts():
     # OEIS A059710: the invariant dimensions of the 7-dimensional G2 module
-    webs = [enumerate_webs(k, 0, budget=7) for k in range(8)]
+    webs = [enumerate_webs(k, 0) for k in range(8)]
     assert [len(w) for w in webs] == [1, 0, 1, 1, 4, 10, 35, 120]
     assert len(enumerate_webs(4, 3)) == 120
     # the largest webs meet the vertex bound at k = 6 and 7
@@ -110,10 +111,13 @@ def test_web_counts():
     (8, 0, 8, 455, "51641f53c43b5fa66c5c4674f7869417eba8f53f01de622d49a24726a498f336"),
     (4, 4, 8, 455, "37bc31f89f7e4a1d33931284a3c2acc6752a2e462e252b55de6b8c2ae8dab0a2"),
 ])
-def test_web_lists_pinned(n, m, budget, count, digest):
+def test_web_lists_pinned(n, m, budget, count, digest, monkeypatch):
     # the webs in order, pinned to the search that capped only the whole
-    # diagram's vertex count
-    webs = enumerate_webs(n, m, budget=budget)
+    # diagram's vertex count; each row runs with MAX_WEB_POINTS at its
+    # budget column, at or above n + m, since the budget only refuses and
+    # never cuts a search short
+    monkeypatch.setattr(basis, "MAX_WEB_POINTS", budget)
+    webs = enumerate_webs(n, m)
     text = b"\n".join(w.canonical_encoding() for w in webs)
     assert (len(webs), hashlib.sha256(text).hexdigest()) == (count, digest)
 
@@ -181,8 +185,25 @@ def test_webs_split_boundary_matches_bent():
 
 
 def test_webs_budget():
-    with pytest.raises(BudgetError):
-        enumerate_webs(8, 0, budget=7)
+    assert MAX_WEB_POINTS == 8
+    for n, m in ((9, 0), (5, 4), (10 ** 9, 0)):
+        with pytest.raises(BudgetError, match=f"boundary size {n + m} exceeds budget 8"):
+            enumerate_webs(n, m)
+    # every library caller has the one budget
+    with pytest.raises(BudgetError, match="boundary size 9 exceeds budget 8"):
+        basis_diagrams(CaseTag.DIM7, 5, 4)
+
+
+def test_web_search_records_each_web_once():
+    # the search records only valid non-elliptic webs, each once, so it
+    # returns them unfiltered
+    for k in range(8):
+        for n in range(k + 1):
+            webs = enumerate_webs(n, k - n)
+            for w in webs:
+                w.check_valid()
+                assert is_basis_diagram(w, CaseTag.DIM7)
+            assert len({w.canonical_encoding() for w in webs}) == len(webs)
 
 
 def test_catalan_budget():

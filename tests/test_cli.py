@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from tangleweb import cli, linalg
+from tangleweb import basis, cli, linalg
 from tangleweb.algebra import CaseTag, build
 from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
@@ -103,8 +103,7 @@ def test_dims_certifies_every_row(capsys):
 ])
 def test_dims_exit_1_on_a_wrong_basis(capsys, monkeypatch, edit, refused):
     real = cli.enumerate_webs
-    monkeypatch.setattr(cli, "enumerate_webs",
-                        lambda n, m, budget: edit(real(n, m, budget=budget)))
+    monkeypatch.setattr(cli, "enumerate_webs", lambda n, m: edit(real(n, m)))
     code = main(["--json", "dims", "--case", "dim7", "4"])
     captured = capsys.readouterr()
     last = json.loads(captured.out)["rows"][-1]
@@ -165,36 +164,32 @@ def test_removed_rank_flags_are_usage_errors(flag):
     assert exc.value.code == 2
 
 
-def test_budget_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TANGLEWEB_BUDGET", "4")
+def test_web_budget_exit_2(capsys, monkeypatch):
+    # one budget, basis.MAX_WEB_POINTS; the environment does not change it
+    monkeypatch.setenv("TANGLEWEB_BUDGET", "abc")
+    monkeypatch.setattr(basis, "MAX_WEB_POINTS", 4)
     code, out = run(capsys, "--json", "basis", "--case", "dim7", "2", "2")
-    obj = json.loads(out)
-    assert code == 0 and obj["count"] == 4
-    monkeypatch.setenv("TANGLEWEB_BUDGET", "3")
+    assert code == 0 and json.loads(out)["count"] == 4
+    monkeypatch.setattr(basis, "MAX_WEB_POINTS", 3)
     code = main(["--json", "basis", "--case", "dim7", "2", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: boundary size 4 exceeds budget 3\n"
 
 
-def test_dims_honours_budget_env_var(capsys, monkeypatch):
-    # refused before the derivations or any web search start
-    monkeypatch.setenv("TANGLEWEB_BUDGET", "5")
+@pytest.mark.parametrize("argv", [["basis", "--case", "dim7", "5", "4"],
+                                  ["dims", "--case", "dim7", "9"]])
+def test_web_search_past_budget_refused_up_front(capsys, monkeypatch, argv):
+    # refused before the derivations or any web search start, whatever the
+    # environment says
+    monkeypatch.setenv("TANGLEWEB_BUDGET", "9")
     start = time.perf_counter()
-    code = main(["dims", "--case", "dim7", "6"])
+    code = main(argv)
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: boundary size 6 exceeds budget 5\n"
+    assert captured.err == "error: boundary size 9 exceeds budget 8\n"
     assert elapsed < 0.5
-
-
-def test_budget_env_var_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TANGLEWEB_BUDGET", "abc")
-    code = main(["basis", "--case", "dim7", "2", "2"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "error: TANGLEWEB_BUDGET must be an integer, not 'abc'\n"
 
 
 def test_eval_over_entry_budget_exit_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import inspect
 import pathlib
 
 import tangleweb
-from tangleweb import basis, centralizer, linalg, oracle, planar, rewrite, tensor
+from tangleweb import basis, centralizer, cli, linalg, oracle, planar, rewrite, tensor
 
 SRC = pathlib.Path(tangleweb.__file__).parent
 
@@ -177,6 +177,17 @@ def test_one_web_vertex_budget():
     src = inspect.getsource(basis.enumerate_webs)
     assert "vleft" not in src
     assert src.count("def rec(region, cap, others)") == 1
+
+
+def test_one_web_budget():
+    # the web search's boundary budget is the constant basis.MAX_WEB_POINTS:
+    # the library reads no environment and takes no budget argument
+    for p in sorted(SRC.glob("*.py")):
+        text = p.read_text()
+        assert "environ" not in text and "getenv" not in text, p.name
+    for fn in (basis.enumerate_webs, basis.basis_diagrams):
+        assert "budget" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(cli, "_budget")
 
 
 def test_left_combs_recognized_without_rebuilding(monkeypatch):
