@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import CaseTag
 from .linalg import BudgetError
-from .planar import VERT, PlanarDiagram, circle_refs, open_boundary
+from .planar import PlanarDiagram, circle_refs, open_boundary
 
 
 # Catalan diagrams one request may build or count: riordan(15) = 83,097 is
@@ -163,24 +163,6 @@ def basis_diagrams(case: CaseTag, n: int, m: int):
 
 # ------------------------------------------------------------------ webs
 
-def _closed_face(d, start):
-    """Face walk from a paired half-edge; None if it exits the boundary or
-    meets an open stub (face unfinished)."""
-    walk = [start]
-    cur = start
-    while True:
-        p = d.pairing[cur]
-        if d.loc[p][0] != VERT:
-            return None
-        nxt = d.sigma(p)
-        if nxt == start:
-            return walk
-        if nxt not in d.pairing:
-            return None
-        walk.append(nxt)
-        cur = nxt
-
-
 def web_vertex_bound(k: int) -> int:
     """The most trivalent vertices a non-elliptic web with k boundary points
     can have: k - 2 + 2 * faces(k - 3), proved in enumerate_webs."""
@@ -206,7 +188,8 @@ def enumerate_webs(n: int, m: int):
     fresh trivalent vertex.  Any face completed with fewer than six sides
     prunes the branch.  So every diagram recorded is a valid non-elliptic
     web, and is recorded once: only a pairing closes a face, and faces_ok
-    checks both sides of it; no stub is paired with itself; every vertex
+    walks both sides of it with PlanarDiagram.face_walk, which stops open
+    at a stub not yet paired; no stub is paired with itself; every vertex
     hangs off a region stub; and two branches differ in what some stub
     meets.  Each open region carries a cap, the most vertices its area may
     still receive, starting from web_vertex_bound(n + m) at the root:
@@ -288,8 +271,8 @@ def enumerate_webs(n: int, m: int):
 
     def faces_ok(h):
         for side in (h, base.pairing[h]):
-            w = _closed_face(base, side)
-            if w is not None and len(w) < 6:
+            walk, closed = base.face_walk(side)
+            if closed and len(walk) < 6:
                 return False
         return True
 

@@ -127,11 +127,15 @@ def _closure(basis, table):
 
 
 def _expand(coeffs, cell):
-    """sum_l coeffs[l] * cell(l), zero entries dropped."""
+    """sum_l coeffs[l] * cell(l), zero entries dropped.  Each entry starts
+    from its first product, as in linalg.sparse_mul, so the matrix model's
+    Fraction sums never add an int to a Fraction."""
     out = {}
+    get = out.get
     for l, c in coeffs.items():
         for m, c2 in cell(l).items():
-            out[m] = out.get(m, 0) + c * c2
+            prev = get(m)
+            out[m] = c * c2 if prev is None else prev + c * c2
     return {m: v for m, v in out.items() if v}
 
 
@@ -422,13 +426,14 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     table = structure_constants(alg, n)
     basis = table.basis
     maps = [eval_diagram(d, alg) for d in basis]
-    rows = [{_flat_key(t, key): c for key, c in t.entries.items()} for t in maps]
+    rows = [_flat(t) for t in maps]
     rank = sparse_rank(rows)
     independent = rank == len(basis)
 
     associative = table.check_associative()
+    cell = rows.__getitem__
     consistent = associative and all(
-        _cell_matches(maps, rows, g, j, table.table[(g, j)])
+        _flat(compose(maps[g], maps[j])) == _expand(table.table[(g, j)], cell)
         for g, how in _closure(basis, table.table) if how is None
         for j in range(len(basis)))
 
@@ -446,23 +451,14 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     }
 
 
-def _cell_matches(maps, rows, i, j, cell):
-    """phi(e_i) phi(e_j) == sum_k cell[k] phi(e_k), on flattened entries."""
-    got = compose(maps[i], maps[j])
-    want = {}
-    for k, c in cell.items():
-        for key, v in rows[k].items():
-            want[key] = want.get(key, 0) + c * v
-    return ({_flat_key(got, key): v for key, v in got.entries.items()}
-            == {key: v for key, v in want.items() if v})
-
-
-def _flat_key(t, key):
-    out, inn = key
+def _flat(t):
+    """t's entries keyed by one int each, its output then input indices
+    read as the digits of a base-dim number."""
     d = t.algebra.dim
-    flat = 0
-    for x in out:
-        flat = flat * d + x
-    for x in inn:
-        flat = flat * d + x
+    flat = {}
+    for (out, inn), v in t.entries.items():
+        key = 0
+        for x in out + inn:
+            key = key * d + x
+        flat[key] = v
     return flat

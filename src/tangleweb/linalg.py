@@ -1,6 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
-Sparse rows are dicts mapping column index -> nonzero scalar; the small
+Sparse rows are dicts mapping column index -> nonzero scalar, and sparse
+matrices dicts mapping (row, col) -> nonzero scalar (sparse_mul); the small
 dense systems (solves, inverses, nullspaces) share one reduced row echelon
 routine, rref.  Everything here is elimination-based; no floating point
 anywhere.
@@ -251,6 +252,25 @@ def _scale(row, prim):
     """The positive s with prim = s * row, for prim = clear_denominators(row)."""
     k = next(iter(prim), None)
     return Fraction(prim[k]) / row[k] if k is not None else Fraction(1)
+
+
+def sparse_mul(A, B):
+    """Product of two matrices held as {(row, col): value}, over any
+    hashable row and column labels; zero cells are left out.
+
+    Each cell starts from its first product rather than from 0, so a sum
+    of Fractions never pays an int + Fraction addition."""
+    rows_of_b = {}
+    for (k, j), v in B.items():
+        rows_of_b.setdefault(k, []).append((j, v))
+    out = {}
+    get = out.get
+    for (i, k), u in A.items():
+        for j, v in rows_of_b.get(k, ()):
+            key = (i, j)
+            prev = get(key)
+            out[key] = u * v if prev is None else prev + u * v
+    return {ij: v for ij, v in out.items() if v}
 
 
 def _dot(a, b):

@@ -30,7 +30,7 @@ from itertools import product
 
 from .algebra import CrossAlgebra
 from .linalg import (BudgetError, RowSpan, clear_denominators, nullspace,
-                     sparse_rank)
+                     sparse_mul, sparse_rank)
 from .tensor import TensorMap, compose
 
 # largest dim^n whose invariant dimension invariant_dim computes; dim7 at
@@ -121,23 +121,11 @@ def _entries(mat):
     return {(a, b): v for a, row in enumerate(mat) for b, v in enumerate(row) if v}
 
 
-def _sparse_mul(A, B):
-    """Product of two matrices held as {(row, col): value}."""
-    cols = {}
-    for (k, j), v in B.items():
-        cols.setdefault(k, []).append((j, v))
-    out = {}
-    for (i, k), u in A.items():
-        for j, v in cols.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + u * v
-    return {ij: v for ij, v in out.items() if v}
-
-
 def bracket(A, B, pA=0, pB=0):
     """(Super)commutator [A, B] of matrices held as {(row, col): value}."""
     sign = -1 if (pA and pB) else 1
-    out = _sparse_mul(A, B)
-    for ij, v in _sparse_mul(B, A).items():
+    out = sparse_mul(A, B)
+    for ij, v in sparse_mul(B, A).items():
         out[ij] = out.get(ij, 0) - sign * v
     return {ij: v for ij, v in out.items() if v}
 
@@ -230,9 +218,9 @@ def _index_grades(der):
             w = clear_denominators({a: v for (a, _), v in X.items()})
             weights.append([w.get(a, 0) for a in range(d)])
             continue
-        X2 = _sparse_mul(X, X)
+        X2 = sparse_mul(X, X)
         if (all(a == b for a, b in X2)
-                and _sparse_mul(X2, X) == {ab: -v for ab, v in X.items()}):
+                and sparse_mul(X2, X) == {ab: -v for ab, v in X.items()}):
             for a, _ in X2:
                 bits[a] |= bit
             bit <<= 1

@@ -120,38 +120,40 @@ class PlanarDiagram:
         triple = self.rot[vid]
         return triple[(slot + 1) % 3]
 
-    def is_boundary_h(self, h):
-        return self.loc[h][0] != VERT
-
     def boundary_halfedge(self, ref):
         kind, idx = ref
         return self.top[idx] if kind == TOP else self.bot[idx]
 
-    def face_next(self, h):
-        """Successor along the face walk; None when the walk exits at the boundary."""
-        p = self.pairing[h]
-        if self.is_boundary_h(p):
-            return None
-        return self.sigma(p)
+    def face_walk(self, h):
+        """(half-edges, closed): the walk from h that leaves each half-edge
+        by its pair and turns (sigma) at the vertex it reaches.  It is
+        closed when it returns to h, and stops open at the boundary or at an
+        unpaired half-edge, a stub of a diagram still being built; an open
+        walk's list ends with the half-edge it stopped at."""
+        pairing, loc, rot = self.pairing, self.loc, self.rot
+        walk = [h]
+        cur = h
+        while True:
+            p = pairing.get(cur)
+            if p is None:
+                return walk, False
+            where = loc[p]
+            if where[0] != VERT:
+                return walk, False
+            cur = rot[where[1]][(where[2] + 1) % 3]
+            if cur == h:
+                return walk, True
+            walk.append(cur)
 
     def internal_faces(self):
-        """Internal faces as tuples of half-edges (cycles of face_next)."""
+        """Internal faces as tuples of half-edges (closed face walks)."""
         faces = []
         seen = set()
+        loc = self.loc
         for h0 in self.pairing:
-            if h0 in seen or self.is_boundary_h(h0):
+            if h0 in seen or loc[h0][0] != VERT:
                 continue
-            walk = [h0]
-            cur = h0
-            closed = False
-            while True:
-                cur = self.face_next(cur)
-                if cur is None:
-                    break
-                if cur == h0:
-                    closed = True
-                    break
-                walk.append(cur)
+            walk, closed = self.face_walk(h0)
             seen.update(walk)
             if closed:
                 faces.append(tuple(walk))
@@ -490,8 +492,6 @@ def compose_planar(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
 
 def word_to_planar(word: TangleWord) -> PlanarDiagram:
     """Trace a crossing-free word into a planar diagram."""
-    if word.has_crossing():
-        raise PlanarError("crossings cannot be drawn; eliminate them first")
     d = PlanarDiagram(word.n_in, word.n_out)
     open_ends = []
     for i in range(word.n_in):
@@ -538,8 +538,8 @@ def word_to_planar(word: TangleWord) -> PlanarDiagram:
                 d.pair(r0, r1)
                 new_open.extend([l1, r1])
                 pos += 1
-            else:
-                raise PlanarError(f"unexpected generator {gen}")
+            else:     # Generator.CROSS
+                raise PlanarError("crossings cannot be drawn; eliminate them first")
         open_ends = new_open
 
     for j, e in enumerate(open_ends):

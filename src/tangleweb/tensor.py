@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .algebra import CrossAlgebra, format_fraction
 from .basis import BudgetError
+from .linalg import sparse_mul
 from .tangle import Generator, TangleWord
 
 # Most entries one evaluation may hold: the starting identity and the
@@ -128,22 +129,7 @@ def compose(f: TensorMap, g: TensorMap) -> TensorMap:
         raise ArityError("algebra mismatch in compose")
     if f.n_in != g.n_out:
         raise ArityError(f"arity mismatch: composing {f.n_in}<-? with ?<-{g.n_out}")
-    by_out = {}
-    for (o, i), c in g.entries.items():
-        by_out.setdefault(o, []).append((i, c))
-    entries = {}
-    for (o, mid), c in f.entries.items():
-        hits = by_out.get(mid)
-        if not hits:
-            continue
-        for i, c2 in hits:
-            key = (o, i)
-            v = entries.get(key, Fraction(0)) + c * c2
-            if v:
-                entries[key] = v
-            elif key in entries:
-                del entries[key]
-    return TensorMap(f.algebra, g.n_in, f.n_out, entries)
+    return TensorMap(f.algebra, g.n_in, f.n_out, sparse_mul(f.entries, g.entries))
 
 
 def tensor_product(f: TensorMap, g: TensorMap) -> TensorMap:

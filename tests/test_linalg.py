@@ -1,6 +1,7 @@
 """Property tests for the dense exact elimination, checked against the
-independent sparse rank path, and for the sparse rank, checked against the
-dense reference rref and against its fill budget."""
+independent sparse rank path, for the sparse rank, checked against the
+dense reference rref and against its fill budget, and for the sparse
+matrix product, checked against a dense one."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tangleweb import linalg
 from tangleweb.linalg import (BudgetError, invert_matrix, nullspace, rref, solve_exact,
-                              sparse_rank)
+                              sparse_mul, sparse_rank)
 
 # zeros are drawn often so that singular and inconsistent systems show up
 SCALARS = st.one_of(st.just(Fraction(0)),
@@ -168,6 +169,39 @@ def sparse_rows(rows):
 def test_sparse_rank_matches_dense_references(shape):
     ncols, rows = shape
     assert sparse_rank(sparse_rows(rows)) == len(rref(rows, ncols)[1])
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b): dense p x q and q x r matrices, all ints or all Fractions.
+    Half the time a carries a negated copy of its columns and b a copy of
+    its rows, so every cell of the product cancels to zero."""
+    p, q, r = (draw(st.integers(1, 4)) for _ in range(3))
+    scalars = draw(st.sampled_from([st.integers(-2, 2), SCALARS]))
+    a = draw(st.lists(st.lists(scalars, min_size=q, max_size=q), min_size=p, max_size=p))
+    b = draw(st.lists(st.lists(scalars, min_size=r, max_size=r), min_size=q, max_size=q))
+    if draw(st.booleans()):
+        a = [row + [-v for v in row] for row in a]
+        b = b + b
+    return a, b
+
+
+def labelled(rows, row_label, col_label):
+    """A dense matrix as {(row label, col label): value}, zeros left out."""
+    return {(row_label(i), col_label(j)): v
+            for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
+@SEEDED
+@given(product_pairs())
+def test_sparse_mul_matches_dense_product(pair):
+    # tuple labels, as TensorMap entries have: rows (i,), middle (k, "m")
+    a, b = pair
+    got = sparse_mul(labelled(a, lambda i: (i,), lambda k: (k, "m")),
+                     labelled(b, lambda k: (k, "m"), lambda j: (j,)))
+    assert got == labelled(mat_mul(a, b), lambda i: (i,), lambda j: (j,))
+    if all(type(v) is int for row in a + b for v in row):
+        assert all(type(v) is int for v in got.values())
 
 
 def test_sparse_rank_fill_budget(monkeypatch):

@@ -2,8 +2,8 @@ import pytest
 
 from tangleweb.algebra import CaseTag
 from tangleweb.basis import basis_diagrams
-from tangleweb.planar import (PlanarDiagram, PlanarError, compose_planar,
-                              planar_to_word, word_to_planar)
+from tangleweb.planar import (VERT, PlanarDiagram, PlanarError, compose_planar,
+                              open_boundary, planar_to_word, word_to_planar)
 from tangleweb.tangle import compose_tangles, parse_word
 from tangleweb.tensor import evaluate
 
@@ -22,6 +22,34 @@ def test_bubble_two_vertices_and_bigon_face():
     assert sorted(len(f) for f in p.internal_faces()) == [2]
 
 
+def test_face_walk_closes_on_the_bubble_bigon():
+    p = word_to_planar(parse_word("tangle 1 -> 1 / w / m"))
+    face, = p.internal_faces()
+    for h in face:
+        walk, closed = p.face_walk(h)
+        assert closed and len(walk) == 2 and set(walk) == set(face)
+    assert p.face_walk(face[0]) == (list(face), True)
+
+
+def test_face_walk_stops_open_at_the_boundary():
+    p = word_to_planar(parse_word("tangle 2 -> 2 / m / w"))
+    for h in p.pairing:
+        walk, closed = p.face_walk(h)
+        assert not closed and walk[0] == h
+        assert p.loc[p.pairing[walk[-1]]][0] != VERT
+
+
+def test_face_walk_stops_open_at_an_unpaired_stub():
+    # one vertex hung off the first stub of a diagram still being built
+    d, (s0, s1) = open_boundary(2, 0)
+    a, x, y = d.new_halfedge(), d.new_halfedge(), d.new_halfedge()
+    d.add_vertex((a, x, y))
+    d.pair(s0, a)
+    assert d.face_walk(s0) == ([s0, x], False)
+    assert d.face_walk(a) == ([a], False)
+    assert d.face_walk(y) == ([y], False)
+
+
 def test_h_word_no_internal_face():
     p = word_to_planar(parse_word("tangle 2 -> 2 / m / w"))
     assert p.vertex_count() == 2
@@ -34,8 +62,9 @@ def test_lollipop_face():
 
 
 def test_crossing_rejected():
-    with pytest.raises(PlanarError):
-        word_to_planar(parse_word("tangle 2 -> 2 / x"))
+    for text in ("tangle 2 -> 2 / x", "tangle 2 -> 3 / w,id / id,x"):
+        with pytest.raises(PlanarError, match="crossings cannot be drawn"):
+            word_to_planar(parse_word(text))
 
 
 def test_slice_order_irrelevant():

@@ -58,7 +58,7 @@ def test_grading_reads_no_case_table():
     # the grading comes from the derivation basis alone, so the oracle stays
     # independent of the per-case tables it certifies
     for fn in (oracle._index_grades, oracle._add_grade, oracle._grade_classes,
-               oracle.zero_grade, oracle._all_action_rows, oracle._sparse_mul,
+               oracle.zero_grade, oracle._all_action_rows, linalg.sparse_mul,
                oracle.derivations):
         src = inspect.getsource(fn)
         assert ".case" not in src and "CaseTag" not in src, fn.__name__
@@ -229,3 +229,31 @@ def test_one_left_comb_walk(dim3, monkeypatch):
     assert not basis.is_basis_diagram(right, basis.CaseTag.DIM3) and calls == [right]
     rule, _, _ = rewrite._find_step(right, rewrite.rules_for(dim3))
     assert rule == "rotate-tree" and calls == [right, right]
+
+
+def test_one_face_walk():
+    # internal faces and the web search's face test both walk faces with
+    # PlanarDiagram.face_walk
+    for name in ("face_next", "is_boundary_h"):
+        assert not hasattr(planar.PlanarDiagram, name), name
+    assert not hasattr(basis, "_closed_face")
+    assert "face_walk(" in inspect.getsource(planar.PlanarDiagram.internal_faces)
+    assert "face_walk(" in inspect.getsource(basis.enumerate_webs)
+
+
+def test_one_sparse_matrix_product():
+    # tensor maps and the oracle's matrices multiply in linalg.sparse_mul
+    assert not hasattr(oracle, "_sparse_mul")
+    assert tensor.sparse_mul is linalg.sparse_mul
+    assert oracle.sparse_mul is linalg.sparse_mul
+    src = inspect.getsource(tensor.compose)
+    assert "sparse_mul(" in src
+    for word in ("for ", "while "):
+        assert word not in src, word
+
+
+def test_one_sparse_sum():
+    # the matrix model checks its cells with the sum the table builder uses
+    for name in ("_cell_matches", "_flat_key"):
+        assert not hasattr(centralizer, name), name
+    assert "_expand(" in inspect.getsource(centralizer.matrix_model)
