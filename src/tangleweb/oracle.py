@@ -26,11 +26,11 @@ here needs the basis to be closed under brackets.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .algebra import CrossAlgebra
 from .linalg import (BudgetError, RowSpan, clear_denominators, nullspace,
-                     sparse_mul, sparse_rank)
+                     sparse_mul, sparse_rank, sparse_sum)
 from .tensor import TensorMap, compose
 
 # largest dim^n whose invariant dimension invariant_dim computes; dim7 at
@@ -124,10 +124,8 @@ def _entries(mat):
 def bracket(A, B, pA=0, pB=0):
     """(Super)commutator [A, B] of matrices held as {(row, col): value}."""
     sign = -1 if (pA and pB) else 1
-    out = sparse_mul(A, B)
-    for ij, v in sparse_mul(B, A).items():
-        out[ij] = out.get(ij, 0) - sign * v
-    return {ij: v for ij, v in out.items() if v}
+    return sparse_sum(chain(sparse_mul(A, B).items(),
+                            ((ij, -sign * v) for ij, v in sparse_mul(B, A).items())))
 
 
 def _integer_rows(der):
@@ -288,19 +286,13 @@ def _action_rows(alg, entries, dp, n, alphas):
     # the same with the coefficient negated, for an odd D past an odd prefix
     neg = [[[(off, -c) for off, c in col] for col in slot] for slot in shift]
     for base, alpha in alphas:
-        row = {}
+        terms = []
         odd = 0
         for k, b in enumerate(alpha):
-            for off, c in (neg if odd else shift)[k][b]:
-                flat = base + off
-                v = row.get(flat, 0) + c
-                if v:
-                    row[flat] = v
-                elif flat in row:
-                    del row[flat]
+            terms += (neg if odd else shift)[k][b]
             if dp and par[b]:
                 odd ^= 1
-        yield alpha, row
+        yield alpha, sparse_sum((base + off, c) for off, c in terms)
 
 
 def action_matrix(der: DerivationAlgebra, which: int, n: int):

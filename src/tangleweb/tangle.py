@@ -217,6 +217,7 @@ class LinComb:
                 self.add_term(k, c)
 
     def add_term(self, key, coeff):
+        # one term per call, not linalg.sparse_sum: coefficients become Fractions here
         c = self.terms.get(key, Fraction(0)) + Fraction(coeff)
         if c:
             self.terms[key] = c

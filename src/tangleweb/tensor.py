@@ -4,7 +4,9 @@ and the evaluation functor sending tangle words to such maps.
 A map V^(x)n -> V^(x)m is stored as {(out_index, in_index): Fraction} over
 multi-indices; n_in = n_out = 0 encodes a scalar.  All Koszul signs are
 produced by exactly two places: the switch generator's matrix and the
-graded rule in tensor_product.
+graded rule in tensor_product.  Entries are summed in linalg.sparse_sum:
+directly by add and each evaluation slice, through linalg.sparse_mul by
+compose; tensor_product's entries have distinct keys and need no sum.
 
 Each generator's matrix is defined once, by its *_map function.  evaluate
 reads its slice tables off generator_map and applies every generator but
@@ -19,10 +21,11 @@ each evaluation starts from the identity on the narrower end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import CrossAlgebra, format_fraction
 from .basis import BudgetError
-from .linalg import sparse_mul
+from .linalg import sparse_mul, sparse_sum
 from .tangle import Generator, TangleWord
 
 # Most entries one evaluation may hold: the starting identity and the
@@ -81,14 +84,8 @@ class TensorMap:
     def add(self, other):
         if (self.n_in, self.n_out) != (other.n_in, other.n_out):
             raise ArityError("arity mismatch in add")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return TensorMap(self.algebra, self.n_in, self.n_out, out)
+        return TensorMap(self.algebra, self.n_in, self.n_out,
+                         sparse_sum(chain(self.entries.items(), other.entries.items())))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -138,28 +135,21 @@ def tensor_product(f: TensorMap, g: TensorMap) -> TensorMap:
     The sign is applied per homogeneous entry of g (|g| = parity flip of the
     entry) against the parity of f's input index.  For parity-preserving maps
     (every generator image) the sign is always +1.
+
+    Every entry of a map has the same index lengths, so the keys
+    (of + og, if_ + ig) are distinct and each entry is one nonzero product:
+    nothing is summed.
     """
     if f.algebra.case != g.algebra.case:
         raise ArityError("algebra mismatch in tensor_product")
     alg = f.algebra
     par = alg.parity
-    entries = {}
-    g_items = []
-    for (og, ig), cg in g.entries.items():
-        gp = (sum(par[i] for i in og) + sum(par[i] for i in ig)) & 1
-        g_items.append((og, ig, cg, gp))
-    for (of, if_), cf in f.entries.items():
-        xpar = sum(par[i] for i in if_) & 1
-        for og, ig, cg, gp in g_items:
-            c = cf * cg
-            if gp and xpar:
-                c = -c
-            key = (of + og, if_ + ig)
-            v = entries.get(key, Fraction(0)) + c
-            if v:
-                entries[key] = v
-            elif key in entries:
-                del entries[key]
+    f_items = [(of, if_, cf, sum(par[i] for i in if_) & 1)
+               for (of, if_), cf in f.entries.items()]
+    g_items = [(og, ig, cg, (sum(par[i] for i in og) + sum(par[i] for i in ig)) & 1)
+               for (og, ig), cg in g.entries.items()]
+    entries = {(of + og, if_ + ig): -cf * cg if gp and xpar else cf * cg
+               for of, if_, cf, xpar in f_items for og, ig, cg, gp in g_items}
     return TensorMap(alg, f.n_in + g.n_in, f.n_out + g.n_out, entries)
 
 
@@ -326,31 +316,29 @@ def _apply_slice(entries, plan):
 
     Every generator image is parity-even, so no grading signs appear here
     in either direction; the switch generator's matrix carries its own signs.
+    The new entries are summed, and the cancelled ones dropped, by
+    linalg.sparse_sum.
     """
-    new_entries = {}
-    for (moving, fixed), coeff in entries.items():
-        # branches: list of (new_moving_prefix, coeff)
-        branches = [((), coeff)]
-        pos = 0
-        for width, table in plan:
-            if table is None:
-                x = moving[pos:pos + 1]
-                branches = [(pre + x, c) for pre, c in branches]
-            else:
-                row = table.get(moving[pos:pos + width])
-                if row is None:
-                    branches = []
-                    break
-                branches = [(pre + o, c * w) for pre, c in branches for o, w in row]
-            pos += width
-        for pre, c in branches:
-            key = (pre, fixed)
-            v = new_entries.get(key, Fraction(0)) + c
-            if v:
-                new_entries[key] = v
-            elif key in new_entries:
-                del new_entries[key]
-    return new_entries
+    def terms():
+        for (moving, fixed), coeff in entries.items():
+            # branches: list of (new_moving_prefix, coeff)
+            branches = [((), coeff)]
+            pos = 0
+            for width, table in plan:
+                if table is None:
+                    x = moving[pos:pos + 1]
+                    branches = [(pre + x, c) for pre, c in branches]
+                else:
+                    row = table.get(moving[pos:pos + width])
+                    if row is None:
+                        branches = []
+                        break
+                    branches = [(pre + o, c * w) for pre, c in branches for o, w in row]
+                pos += width
+            for pre, c in branches:
+                yield (pre, fixed), c
+
+    return sparse_sum(terms())
 
 
 def evaluate(word: TangleWord, alg: CrossAlgebra) -> TensorMap:

@@ -1,7 +1,8 @@
 """Property tests for the dense exact elimination, checked against the
 independent sparse rank path, for the sparse rank, checked against the
-dense reference rref and against its fill budget, and for the sparse
-matrix product, checked against a dense one."""
+dense reference rref and against its fill budget, for the sparse matrix
+product, checked against a dense one, and for the sparse sum, checked
+against a plain one."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from tangleweb import linalg
 from tangleweb.linalg import (BudgetError, invert_matrix, nullspace, rref, solve_exact,
-                              sparse_mul, sparse_rank)
+                              sparse_mul, sparse_rank, sparse_sum)
 
 # zeros are drawn often so that singular and inconsistent systems show up
 SCALARS = st.one_of(st.just(Fraction(0)),
@@ -202,6 +203,34 @@ def test_sparse_mul_matches_dense_product(pair):
     assert got == labelled(mat_mul(a, b), lambda i: (i,), lambda j: (j,))
     if all(type(v) is int for row in a + b for v in row):
         assert all(type(v) is int for v in got.values())
+
+
+@st.composite
+def term_lists(draw):
+    """(key, value) pairs over tuple keys, all ints or all Fractions, and
+    possibly none.  Half the time the terms of one key are followed by
+    their negations, so that key cancels to zero."""
+    scalars = draw(st.sampled_from([st.integers(-2, 2), SCALARS]))
+    keys = st.tuples(st.integers(0, 3), st.sampled_from("ab"))
+    terms = draw(st.lists(st.tuples(keys, scalars), max_size=12))
+    if terms and draw(st.booleans()):
+        gone = draw(st.sampled_from([k for k, _ in terms]))
+        terms += [(gone, -v) for k, v in terms if k == gone]
+    return terms
+
+
+@SEEDED
+@given(term_lists())
+def test_sparse_sum_matches_reference(terms):
+    reference = {}
+    for k, v in terms:
+        reference[k] = reference.get(k, 0) + v
+    got = sparse_sum(iter(terms))
+    assert got == {k: v for k, v in reference.items() if v}
+    assert all(got.values())
+    if all(type(v) is int for _, v in terms):
+        assert all(type(v) is int for v in got.values())
+    assert sparse_sum(iter([])) == {}
 
 
 def test_sparse_rank_fill_budget(monkeypatch):

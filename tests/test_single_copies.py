@@ -2,9 +2,11 @@
 
 import inspect
 import pathlib
+import re
 
 import tangleweb
-from tangleweb import basis, centralizer, cli, linalg, oracle, planar, rewrite, tensor
+from tangleweb import (algebra, basis, centralizer, cli, grassmann, linalg, oracle, planar,
+                       rewrite, tangle, tensor)
 
 SRC = pathlib.Path(tangleweb.__file__).parent
 
@@ -257,3 +259,20 @@ def test_one_sparse_sum():
     for name in ("_cell_matches", "_flat_key"):
         assert not hasattr(centralizer, name), name
     assert "_expand(" in inspect.getsource(centralizer.matrix_model)
+    # every sparse linear combination is summed by linalg.sparse_sum; the
+    # only loops of their own are the three that say why they stay
+    for module in (tensor, oracle, centralizer, algebra, grassmann):
+        assert module.sparse_sum is linalg.sparse_sum, module.__name__
+    for fn in (linalg.sparse_mul, centralizer._expand):
+        assert "sparse_sum(" in inspect.getsource(fn), fn.__name__
+    assert ".get(" not in inspect.getsource(tensor.tensor_product)
+    kept = [inspect.getsource(fn) for fn in (tangle.LinComb.add_term, linalg._reduce,
+                                             linalg._eliminate)]
+    for src in kept:
+        assert "not by sparse_sum" in src or "not linalg.sparse_sum" in src
+    accumulate = re.compile(r"\.get\(.*,\s*(Fraction\(0\)|0)\)\s*[-+]")
+    hits = [(p.name, line.strip()) for p in sorted(SRC.glob("*.py"))
+            for line in p.read_text().splitlines() if accumulate.search(line)]
+    assert len(hits) == 3, hits
+    for name, line in hits:
+        assert any(line in src for src in kept), (name, line)

@@ -68,6 +68,12 @@ def test_tensor_product_basics(dim3, kap):
     tau = switch_map(kap)
     assert tau.entries[((2, 1), (1, 2))] == -1
     assert tau.entries[((0, 1), (1, 0))] == 1
+    # every entry pair gives its own key, so tensor_product sums nothing:
+    # an odd kap map (e -> p, q -> e/2) after the switch's odd entries,
+    # and a dim3 map
+    odd = TensorMap(kap, 1, 1, {((1,), (0,)): 1, ((0,), (2,)): Fraction(1, 2)})
+    for f, g in ((tau, odd), (mult_map(dim3), cup_map(dim3))):
+        assert len(tp(f, g).entries) == len(f.entries) * len(g.entries)
 
 
 def _random_map(alg, rng, n, m, nnz=4):
