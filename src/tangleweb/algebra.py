@@ -128,6 +128,22 @@ def build(case: CaseTag) -> CrossAlgebra:
     return alg
 
 
+def per_case(cache, alg, make):
+    """make(alg), kept in `cache` under alg.case with the algebra it was
+    made for, one entry per case.
+
+    The entry serves only that algebra or an equal one, so a hand-built
+    algebra and build(case) never get each other's tables; any other
+    algebra remakes the entry in place.  Identity is tested first, and an
+    equal algebra takes the entry over, so it pays the field-by-field
+    comparison once."""
+    entry = cache.get(alg.case)
+    if entry is None or entry[0] is not alg:
+        value = entry[1] if entry is not None and entry[0] == alg else make(alg)
+        cache[alg.case] = entry = (alg, value)
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class DualBases:
     u: tuple  # u_i = standard basis vectors, as coordinate dicts

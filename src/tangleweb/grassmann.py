@@ -9,21 +9,11 @@ relations beta^2 = gamma^2 = 0 and beta*gamma = -gamma*beta.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .algebra import AxiomReport, CaseTag, build
 from .linalg import sparse_sum
 
 ONE = (0, 0, 0)
-
-
-def g_add(x, y):
-    return sparse_sum(chain(x.items(), y.items()))
-
-
-def g_scale(x, c):
-    c = Fraction(c)
-    return {k: v * c for k, v in x.items()} if c else {}
 
 
 def g_mul(x, y):
@@ -58,22 +48,19 @@ def super_pfaffian_check() -> AxiomReport:
     u = {0: a, 1: beta, 2: gamma}
 
     def b_ring(x, y):
-        acc = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                c = alg.b(i, j)
-                if c:
-                    acc = g_add(acc, g_scale(g_mul(xi, yj), c))
-        return acc
+        return sparse_sum((mono, v * alg.b(i, j)) for i, xi in x.items()
+                          for j, yj in y.items() if alg.b(i, j)
+                          for mono, v in g_mul(xi, yj).items())
 
     def times_ring(x, y):
+        # one sum keyed (coordinate, monomial), then split by coordinate
+        flat = sparse_sum(((k, mono), v * c) for i, xi in x.items() for j, yj in y.items()
+                          for k, c in alg.times(i, j).items()
+                          for mono, v in g_mul(xi, yj).items())
         out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in alg.times(i, j).items():
-                    term = g_scale(g_mul(xi, yj), c)
-                    out[k] = g_add(out.get(k, {}), term)
-        return {k: v for k, v in out.items() if v}
+        for (k, mono), v in flat.items():
+            out.setdefault(k, {})[mono] = v
+        return out
 
     buu = b_ring(u, u)
     rep.record("b(u,u) = (1/2)a^2 + 2 beta gamma",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CaseTag, CrossAlgebra
+from .algebra import CaseTag, CrossAlgebra, per_case
 from .basis import BudgetError, basis_diagrams, build_normalized, comb_defect
 from .linalg import solve_exact
 from .planar import (VERT, PlanarDiagram, PlanarError, circle_refs, find_self_loop,
@@ -137,14 +137,14 @@ class RuleSet:
     def _derive_rotation(self):
         """Tree rotation: comb (01|23) -> comb (12|30) plus pairing terms.
 
-        The leg order is read off the canonical tree by the same extraction
-        that applies the rule.
+        The tree t_a and the pairings (01|23) and (03|12) are the case's
+        basis [4] -> [0], in that order; only the rotated comb t_b is built.
+        The leg order is read off t_a by the same extraction that applies
+        the rule.
         """
         alg = self.alg
-        t_a = build_normalized(4, 0, ((0, 1, 2, 3),))
+        t_a, p1, p2 = basis_diagrams(self.case, 4, 0)
         t_b = build_normalized(4, 0, ((1, 2, 3, 0),))
-        p1 = build_normalized(4, 0, ((0, 1), (2, 3)))
-        p2 = build_normalized(4, 0, ((1, 2), (3, 0)))
         target = _eval_vector(t_a, alg)
         patches = [t_b, p1, p2]
         terms = _solve_terms(patches, [_eval_vector(p, alg) for p in patches], target)
@@ -167,11 +167,7 @@ _RULESETS = {}
 
 
 def rules_for(alg: CrossAlgebra) -> RuleSet:
-    rs = _RULESETS.get(alg.case)
-    if rs is None:
-        rs = RuleSet(alg)
-        _RULESETS[alg.case] = rs
-    return rs
+    return per_case(_RULESETS, alg, RuleSet)
 
 
 # ------------------------------------------------------------------ surgery
@@ -321,7 +317,15 @@ class RewriteTrace:
 
 def _word_terms_without_crossings(word: TangleWord, rules: RuleSet):
     """Expand every crossing via the derived switch rule, once the word is
-    within MAX_STRANDS and MAX_CROSSING_TERMS."""
+    within MAX_STRANDS and MAX_CROSSING_TERMS.
+
+    One pass over the slices.  A slice keeps id,id where each of its
+    crossings was; after it come the fragment slices of its crossings, left
+    to right, each padded with identities.  The partial words multiply out,
+    one copy per crossing term, as the pass goes, and each crossing-free
+    word is built once.  The list comes back reversed: the leftmost
+    crossing's term changes slowest, and each crossing's terms run last to
+    first."""
     if word.width > MAX_STRANDS:
         raise BudgetError(f"the word has {word.width} strands, over the budget "
                           f"of {MAX_STRANDS}")
@@ -330,33 +334,19 @@ def _word_terms_without_crossings(word: TangleWord, rules: RuleSet):
     if terms > MAX_CROSSING_TERMS:
         raise BudgetError(f"{crossings} crossings expand into {terms} words, "
                           f"over the budget of {MAX_CROSSING_TERMS}")
-    pending = [(word, Fraction(1))]
-    done = []
-    while pending:
-        w, c = pending.pop()
-        hit = None
-        for si, slice_ in enumerate(w.slices):
-            for gi, g in enumerate(slice_):
-                if g is Generator.CROSS:
-                    hit = (si, gi)
-                    break
-            if hit:
-                break
-        if hit is None:
-            done.append((w, c))
-            continue
-        si, gi = hit
-        slice_ = list(w.slices[si])
-        before_out = sum(g.n_out for g in slice_[:gi])
-        after_out = sum(g.n_out for g in slice_[gi + 1:])
-        slice_[gi:gi + 1] = [Generator.ID, Generator.ID]
-        for frag, fc in rules.crossing_terms:
-            frag_slices = [[Generator.ID] * before_out + list(s)
-                           + [Generator.ID] * after_out for s in frag.slices]
-            new_slices = (list(w.slices[:si]) + [slice_] + frag_slices
-                          + list(w.slices[si + 1:]))
-            pending.append((TangleWord(w.n_in, w.n_out, new_slices), c * fc))
-    return done
+    ident = (Generator.ID,)
+    partial = [((), Fraction(1))]
+    for slice_ in word.slices:
+        kept = tuple(h for g in slice_ for h in (ident * 2 if g is Generator.CROSS else (g,)))
+        partial = [(w + (kept,), c) for w, c in partial]
+        before, width = 0, sum(g.n_out for g in slice_)
+        for g in slice_:
+            if g is Generator.CROSS:
+                left, right = ident * before, ident * (width - before - 2)
+                partial = [(w + tuple(left + s + right for s in frag.slices), c * fc)
+                           for w, c in partial for frag, fc in rules.crossing_terms]
+            before += g.n_out
+    return [(TangleWord(word.n_in, word.n_out, w), c) for w, c in reversed(partial)]
 
 
 def _h_pattern_legs(d, a, b):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .algebra import CrossAlgebra, format_fraction
+from .algebra import CrossAlgebra, format_fraction, per_case
 from .basis import BudgetError
 from .linalg import sparse_mul, sparse_sum
 from .tangle import Generator, TangleWord
@@ -287,26 +287,24 @@ def generator_map(alg, gen: Generator) -> TensorMap:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-# Per-case slice tables (push, pull), each {Generator: {index: [(index, coeff)]}}
-# regrouped from generator_map, push by input index and pull by output index,
-# so each generator's matrix is defined once.  ID has no table: the kernel
-# passes its index through unchanged.
+# Per-case slice tables (push, pull), kept by algebra.per_case.
 _TABLES = {}
 
 
-def _tables(alg):
-    tables = _TABLES.get(alg.case)
-    if tables is None:
-        push, pull = {}, {}
-        for gen in Generator:
-            if gen is not Generator.ID:
-                by_in = push[gen] = {}
-                by_out = pull[gen] = {}
-                for (o, i), c in generator_map(alg, gen).entries.items():
-                    by_in.setdefault(i, []).append((o, c))
-                    by_out.setdefault(o, []).append((i, c))
-        tables = _TABLES[alg.case] = (push, pull)
-    return tables
+def _slice_tables(alg):
+    """(push, pull), each {Generator: {index: [(index, coeff)]}} regrouped
+    from generator_map, push by input index and pull by output index, so
+    each generator's matrix is defined once.  ID has no table: the kernel
+    passes its index through unchanged."""
+    push, pull = {}, {}
+    for gen in Generator:
+        if gen is not Generator.ID:
+            by_in = push[gen] = {}
+            by_out = pull[gen] = {}
+            for (o, i), c in generator_map(alg, gen).entries.items():
+                by_in.setdefault(i, []).append((o, c))
+                by_out.setdefault(o, []).append((i, c))
+    return push, pull
 
 
 def _apply_slice(entries, plan):
@@ -351,7 +349,7 @@ def evaluate(word: TangleWord, alg: CrossAlgebra) -> TensorMap:
     result of a slice would hold more than MAX_ENTRIES entries.
     """
     word.validate()
-    push, pull = _tables(alg)
+    push, pull = per_case(_TABLES, alg, _slice_tables)
     pulled = word.n_out < word.n_in
     start = word.n_out if pulled else word.n_in
     if alg.dim ** start > MAX_ENTRIES:

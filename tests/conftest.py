@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +26,17 @@ def kap():
 @pytest.fixture(scope="session")
 def all_algebras(dim3, dim7, kap):
     return (dim3, dim7, kap)
+
+
+def flipped_fano(dim7):
+    """dim7 with the oriented triple (1,2,3) reversed: a hand-built algebra
+    of case dim7 whose products differ from build(dim7)'s."""
+    cross = [[list(col) for col in row] for row in dim7.cross]
+    a, b, c = 0, 1, 2   # triple (1,2,3) zero-based
+    for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+        cross[i][j][k] = Fraction(-1)
+        cross[j][i][k] = Fraction(1)
+    return replace(dim7, cross=tuple(tuple(tuple(col) for col in row) for row in cross))
 
 
 def random_word(rng, max_slices=8, max_strands=6, p_cross=0.0):

@@ -1,12 +1,18 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tangleweb.algebra import (EVEN, ODD, CaseTag, CrossAlgebra, build,
-                               cayley_hamilton_check, check_axioms, dual_bases,
-                               skew_symmetrization_check)
+from tangleweb import tensor
+from tangleweb.algebra import (EVEN, ODD, CaseTag, build, cayley_hamilton_check,
+                               check_axioms, dual_bases, skew_symmetrization_check)
 from tangleweb.grassmann import super_pfaffian_check
+from tangleweb.rewrite import rules_for
+from tangleweb.tangle import parse_word
+from tangleweb.tensor import evaluate
+
+from conftest import flipped_fano
 
 
 def test_dim3_normalization(dim3):
@@ -44,19 +50,38 @@ def test_axioms_pass(case):
 
 def test_flipped_fano_triple_fails_axioms(dim7):
     # deliberately corrupt one oriented triple: the 4-linear identity breaks
-    cross = [[list(col) for col in row] for row in dim7.cross]
-    a, b, c = 0, 1, 2   # triple (1,2,3) zero-based
-    for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-        cross[i][j][k] = Fraction(-1)
-        cross[j][i][k] = Fraction(1)
-    bad = CrossAlgebra(case=CaseTag.DIM7, dim=7, parity=dim7.parity,
-                       gram=dim7.gram,
-                       cross=tuple(tuple(tuple(col) for col in row) for row in cross),
-                       names=dim7.names, gram_inv=dim7.gram_inv)
-    rep = check_axioms(bad)
+    rep = check_axioms(flipped_fano(dim7))
     assert not rep.ok
     failing = [name for name, _ in rep.failures()]
     assert any("norm compatibility" in name or "4-linear" in name for name in failing)
+
+
+@pytest.mark.parametrize("hand_built_first", [True, False])
+def test_per_case_caches_serve_only_their_algebra(hand_built_first):
+    # the slice tables and the rule sets are cached per case; an entry serves
+    # only the algebra it was made from or an equal one, in either order
+    good = build(CaseTag.DIM7)
+    bad = flipped_fano(good)
+    m = parse_word("tangle 2 -> 1 / m")
+    order = [bad, good] if hand_built_first else [good, bad, good]
+    for alg in order:
+        want = 1 if alg is good else -1
+        assert evaluate(m, alg).entries[((2,), (0, 1))] == want
+    # dim3 with x doubled: a bigon has two vertices, so its rule's
+    # coefficient is 4 times build(dim3)'s
+    plain = build(CaseTag.DIM3)
+    doubled = replace(plain, cross=tuple(tuple(tuple(2 * v for v in col) for col in row)
+                                         for row in plain.cross))
+    order = [doubled, plain] if hand_built_first else [plain, doubled, plain]
+    for alg in order:
+        (_, c), = rules_for(alg).face_rules[2]["terms"]
+        assert c == (-8 if alg is doubled else -2)
+    # an equal algebra is served the same entries
+    again = build(CaseTag.DIM3)
+    tables = tensor._TABLES[CaseTag.DIM3][1]
+    assert again is not plain and rules_for(again) is rules_for(plain)
+    evaluate(m, again)
+    assert tensor._TABLES[CaseTag.DIM3][1] is tables
 
 
 def test_dual_bases(dim3, dim7, kap):

@@ -343,6 +343,39 @@ def test_deep_diagrams_need_no_recursion(dim3, memo):
     assert comb_out.terms == {comb: 1}
 
 
+@pytest.mark.parametrize("case,text", [
+    ("dim3", "tangle 4 -> 4 / x,x / id,x,id"),
+    ("kap", "tangle 4 -> 4 / x,x / id,x,id"),
+    ("dim7", "tangle 3 -> 3 / x,id / id,x"),
+])
+def test_crossings_expand_in_one_pass(all_algebras, case, text):
+    # c crossings and k crossing terms give k^c crossing-free words, and
+    # their combination evaluates to the word
+    alg = next(a for a in all_algebras if a.case.value == case)
+    word = parse_word(text)
+    rules = rules_for(alg)
+    terms = rewrite._word_terms_without_crossings(word, rules)
+    assert len(terms) == len(rules.crossing_terms) ** text.count("x")
+    assert not any(w.has_crossing() for w, _ in terms)
+    acc = zero_map(alg, word.n_in, word.n_out)
+    for w, c in terms:
+        acc = acc.add(evaluate(w, alg).scale(c))
+    assert acc == evaluate(word, alg)
+
+
+def test_crossing_words_order(dim3):
+    # the first crossing's term changes slowest, each crossing's terms run
+    # last to first, and a crossing's fragment follows its slice
+    terms = rewrite._word_terms_without_crossings(
+        parse_word("tangle 3 -> 3 / x,id / id,x"), rules_for(dim3))
+    assert [w.format() for w, _ in terms] == [
+        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id / id,m / id,w",
+        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id",
+        "tangle 3 -> 3 / id,id,id / id,id,id / id,m / id,w",
+        "tangle 3 -> 3 / id,id,id / id,id,id",
+    ]
+
+
 def test_crossing_expansion_budget(dim3, monkeypatch):
     # dim3 rewrites a crossing into two words: 2^2 fits a budget of 4, 2^3 does not
     monkeypatch.setattr(rewrite, "MAX_CROSSING_TERMS", 4)

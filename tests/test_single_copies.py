@@ -91,6 +91,14 @@ def test_products_glue_planar_diagrams_in_one_engine():
     assert "while" not in inspect.getsource(rewrite.normalize)
 
 
+def test_one_crossing_pass():
+    # crossings expand in one pass over the input's slices: no work stack,
+    # and each crossing-free word is built once
+    src = inspect.getsource(rewrite._word_terms_without_crossings)
+    assert "while" not in src
+    assert src.count("TangleWord(") == 1
+
+
 def test_one_dense_elimination(monkeypatch):
     # solves, nullspaces and inverses all eliminate through linalg.rref
     calls = []
@@ -159,8 +167,11 @@ def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
 
 def test_case_facts_read_off_the_algebra():
     # the crossing rule solves against the same four words in every case,
+    # the rotation rule reads its tree and pairings off the case's basis,
     # and the Brauer loop value is the derived circle value, not a literal
     assert "CaseTag" not in inspect.getsource(rewrite.RuleSet._derive_crossing)
+    src = inspect.getsource(rewrite.RuleSet._derive_rotation)
+    assert src.count("build_normalized(") == 1 and "basis_diagrams(" in src
     src = inspect.getsource(centralizer.brauer_map)
     assert "Fraction(" not in src and "rules_for(alg).circle_value" in src
 
@@ -276,3 +287,9 @@ def test_one_sparse_sum():
     assert len(hits) == 3, hits
     for name, line in hits:
         assert any(line in src for src in kept), (name, line)
+    # nor does any loop sum whole sparse values into a dict, as
+    # out[k] = add(out.get(k, {}), term) would
+    nested = re.compile(r"\.get\(.*,\s*\{\}\)")
+    hits = [(p.name, line.strip()) for p in sorted(SRC.glob("*.py"))
+            for line in p.read_text().splitlines() if nested.search(line)]
+    assert not hits, hits
