@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .algebra import CaseTag, CrossAlgebra, format_fraction
 from .basis import BudgetError, basis_diagrams
 from .linalg import clear_denominators, sparse_rank, sparse_sum
 from .oracle import DerivationAlgebra, derivations, equivariance_check
-from .planar import compose_planar, join_ports, word_to_planar
+from .planar import compose_planar, join_ports, planar_to_word, word_to_planar
 from .rewrite import eval_diagram, normalize, normalize_diagrams, rules_for
 from .tangle import Generator, TangleWord, compose_tangles, identity_word
 from .tensor import compose
@@ -45,6 +46,11 @@ class StructureTable:
                 return False
         return True
 
+    def generator_rows(self):
+        """The rows `_closure` yields as generators, in the order yielded:
+        the rows `structure_constants` multiplies directly."""
+        return [i for i, how in _closure(self, self.table) if how is None]
+
     def check_associative(self):
         """(e_i e_j) e_k == e_i (e_j e_k) for every basis triple; exact.
 
@@ -56,27 +62,29 @@ class StructureTable:
 
         Only the triples (g, j, k) with g a generator of `_closure` are
         walked.  Suppose (x y) z = x (y z) for every generator x and all
-        basis y, z, and let e_i = c^-1 e_a e_s be a single-term cell of the
-        table with a and s reached before i.  Then, for all y and z (by
-        bilinearity they may be any vectors), four uses of the hypothesis on
-        a and s give
+        basis y, z, and let e_i = c^-1 (e_a e_s - sum_m rest[m] e_m) come
+        from a cell e_a e_s = c e_i + sum_m rest[m] e_m of the table, with
+        a, s and every row of rest reached before i.  By induction the
+        hypothesis holds for a, s and the rows of rest.  For all y and z (by
+        bilinearity they may be any vectors), four uses of it on a and s
+        give
             ((e_a e_s) y) z = (e_a (e_s y)) z = e_a ((e_s y) z)
                             = e_a (e_s (y z)) = (e_a e_s) (y z),
-        so it holds for e_i as well, and by induction for every row.  The
-        generators are read off this table, not off how it was built, so the
-        verdict is the full triple walk's for any table.  Scaling changes
-        no cell's number of terms, so M has the same generators as t.
+        and both sides are linear in the first factor, so it holds for the
+        combination e_i as well, and so for every row.  The generators are
+        read off this table, not off how it was built, so the verdict is
+        the full triple walk's for any table.  They are read off t
+        (`generator_rows`); scaling changes no cell's terms, so they are M's
+        as well.
         """
         _, t = _numerators(self.table)
         nb = len(self.basis)
-        for g, how in _closure(self.basis, t):
-            if how is not None:
-                continue
+        for g in self.generator_rows():
             for j in range(nb):
                 gj = t[(g, j)]
                 for k in range(nb):
-                    if (_expand(gj, lambda l: t[(l, k)])
-                            != _expand(t[(j, k)], lambda l: t[(g, l)])):
+                    if (_expand((c, t[(l, k)]) for l, c in gj.items())
+                            != _expand((c, t[(g, l)]) for l, c in t[(j, k)].items())):
                         return False
         return True
 
@@ -93,43 +101,91 @@ class StructureTable:
         }
 
 
-def _closure(basis, table):
+def _closure(st, table):
     """Reach every row of a structure table from as few rows as possible.
 
-    Yields (i, how) for each basis index once.  Rows are visited by (vertex
-    count, index).  `how` is (a, s, c) when the cell table[(a, s)] is the
-    single term {i: c} with c != 0 and rows a and s were yielded before i;
-    then e_i = c^-1 e_a e_s.  Such a row is taken as soon as one exists
-    (first found, first taken); otherwise the next row in order that is not
-    reached yet is yielded with `how` None, a generator.  Only cells of rows
+    Yields (i, how) for each basis index of the StructureTable `st` once,
+    reading the cells from `table` (keyed (i, j), like st.table; its
+    values may be Fractions or integer numerators).  The local rows
+    id_j (x) x (x) id_(n-2-j), x in basis_diagrams(case, 2, 2), come
+    first (`_local_rows`), then the rest by (vertex count, index).  `how`
+    is (a, s, c, rest) when the cell table[(a, s)] is {i: c} with c != 0
+    plus `rest`, rows a and s and every row of rest were yielded before i;
+    then e_i = c^-1 (e_a e_s - sum_m rest[m] e_m).  Such a row is taken as
+    soon as one exists, first found first taken, through the cell with
+    the fewest terms found by then; otherwise the next row in order that
+    is not reached yet is yielded with `how` None, a generator.  The
+    single-term cells are the rest = {} case.
+
+    Each cell is scanned once, when its second factor row is yielded;
+    a cell with more than one term not reached yet waits, counted down
+    as its rows come, under each of those rows.  Only cells of rows
     already yielded are read, so a builder may fill row i between yields.
     """
-    order = sorted(range(len(basis)), key=lambda i: (basis[i].vertex_count(), i))
-    reached, found = {}, {}     # ordered sets of rows; row -> (a, s, c)
+    basis = st.basis
+    order = _local_rows(st)
+    order += sorted(range(len(basis)), key=lambda i: (basis[i].vertex_count(), i))
+    reached, found = {}, {}     # ordered sets of rows; row -> cell key
+    missing, waiting = {}, {}   # cell key -> terms not reached; row -> cell keys
+    done = reached.keys()
+
+    def offer(key):
+        # the one term of cell `key` not reached yet
+        cell = table[key]
+        m = next(m for m, v in cell.items() if v and m not in reached)
+        if m not in found or len(cell) < len(table[found[m]]):
+            found[m] = key
+
     for nxt in order:
         while True:
             if found:
                 i = next(iter(found))
-                how = found.pop(i)
+                a, s = key = found.pop(i)
+                rest = dict(table[key])
+                how = (a, s, rest.pop(i), rest)
             elif nxt not in reached:
                 i, how = nxt, None
             else:
                 break
             yield i, how
             reached[i] = None
+            for key in waiting.pop(i, ()):
+                missing[key] -= 1
+                if missing[key] == 1:
+                    offer(key)
             for r in reached:
-                for a, s in ((r, i), (i, r)):
-                    cell = table[(a, s)]
-                    if len(cell) == 1:
-                        (m, c), = cell.items()
-                        if c and m not in found and m not in reached:
-                            found[m] = (a, s, c)
+                for key in ((r, i), (i, r)) if r != i else ((i, i),):
+                    cell = table[key]
+                    if cell.keys() <= done:
+                        continue
+                    todo = [m for m, v in cell.items() if v and m not in reached]
+                    if len(todo) == 1:
+                        offer(key)
+                    elif todo:
+                        missing[key] = len(todo)
+                        for m in todo:
+                            waiting.setdefault(m, []).append(key)
 
 
-def _expand(coeffs, cell):
-    """sum_l coeffs[l] * cell(l), zero entries dropped, summed by
-    linalg.sparse_sum."""
-    return sparse_sum((m, c * c2) for l, c in coeffs.items() for m, c2 in cell(l).items())
+def _local_rows(st):
+    """The indices of the rows id_j (x) x (x) id_(n-2-j) of `st`, for x in
+    basis_diagrams(case, 2, 2) and then j = 0 .. n-2, each once: every
+    [2] -> [2] basis word padded with ID strands, traced and looked up by
+    its canonical encoding."""
+    n, rows = st.n, {}
+    for x in basis_diagrams(st.case, 2, 2):
+        slices = planar_to_word(x).slices
+        for j in range(n - 1):
+            word = TangleWord(n, n, [[Generator.ID] * j + list(sl) + [Generator.ID] * (n - 2 - j)
+                                     for sl in slices])
+            rows[st.index[word_to_planar(word).canonical_encoding()]] = None
+    return list(rows)
+
+
+def _expand(terms):
+    """sum_l c_l * cell_l over the (c_l, cell_l) pairs of `terms`, cells
+    sparse dicts, zero entries dropped; one linalg.sparse_sum call."""
+    return sparse_sum((m, c * v) for c, cell in terms for m, v in cell.items())
 
 
 def _numerators(cells, den=1):
@@ -158,22 +214,29 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     basis_i o basis_j is basis_j glued on top of basis_i (compose_planar).
     Only the generator rows of `_closure` are multiplied this way; the
     products share one normalization memo, so each distinct diagram they
-    reach is reduced once per table.  Every other row i comes with a
-    finished single-term cell e_a e_s = c e_i, and associativity gives
-        e_i e_k = c^-1 e_a (e_s e_k) = c^-1 sum_m t[s][k][m] e_a e_m,
-    that is t[i][k] = c^-1 sum_m t[s][k][m] t[a][m].  This is exact, not a
-    shortcut: the algebra is associative and its basis is independent
-    (`matrix_model` certifies both), so every cell is the unique basis
-    expansion of its product, whichever way it is computed.
+    reach is reduced once per table.  The local rows id (x) x (x) id come
+    first, and most other rows i come with a finished cell
+    e_a e_s = c e_i + sum_m rest[m] e_m whose other rows are all built;
+    associativity gives
+        e_i e_k = c^-1 (e_a (e_s e_k) - sum_m rest[m] e_m e_k),
+    that is t[i][k] = c^-1 (sum_m t[s][k][m] t[a][m]
+                            - sum_(m in rest) rest[m] t[m][k]).
+    This is exact, not a shortcut: the algebra is associative and its
+    basis is independent (`matrix_model` certifies both), so every cell is
+    the unique basis expansion of its product, whichever way it is
+    computed.
 
     The rows are built over the integers: row i is held as integer
     numerators N_i over one positive denominator d_i, t[i][k] = N_i[k] / d_i.
     A generator row's normal forms are converted once (`_numerators`).  A
-    derived row reads its factor off the numerators, c = N_a[s][i] / d_a,
-    so the formula above becomes the integer sums
-        N_i[k] = sum_m N_s[k][m] N_a[m]   over   d_i = N_a[s][i] d_s,
-    reduced by the row's gcd and with the sign moved into N_i
-    (`_numerators` again).  Scaling a row changes no cell's number of
+    derived row reads its coefficients off the numerators, c = N_a[s][i] /
+    d_a and rest[m] = N_a[s][m] / d_a, so with L the least common multiple
+    of d_s and the d_m over rest, the formula above becomes one integer sum
+    per cell (`_expand`)
+        N_i[k] = (L/d_s) sum_m N_s[k][m] N_a[m]
+                 - sum_(m in rest) (L/d_m) N_a[s][m] N_m[k]
+    over d_i = N_a[s][i] L, reduced by the row's gcd and with the sign
+    moved into N_i (`_numerators` again).  Scaling a row changes no cell's
     terms, so `_closure` finds the same rows on the numerators as it would
     on the Fractions.  The Fractions are written once, at the end, each
     cell's as its numerators are freed; equal values share one Fraction.
@@ -188,7 +251,7 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     index, table = st.index, st.table
     num, den = {}, {}       # (i, j) -> {k: int}; i -> d_i
     memo = {}
-    for i, how in _closure(basis, num):
+    for i, how in _closure(st, num):
         if how is None:
             row, d = {}, 1
             for j, dj in enumerate(basis):
@@ -201,9 +264,14 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
                         raise RuntimeError("product left the basis; normalization bug")
                     cell[k] = c
         else:
-            a, s, c = how
-            row = {k: _expand(num[(s, k)], lambda m: num[(a, m)]) for k in range(nb)}
-            d = c * den[s]
+            a, s, c, rest = how
+            # over[m] = L / d_m: the row of 1 / d_m scaled to primitive integers
+            over = clear_denominators({m: Fraction(1, den[m]) for m in (s, *rest)})
+            rest = [(m, -over[m] * v) for m, v in rest.items()]
+            row = {k: _expand(chain(((over[s] * x, num[(a, m)]) for m, x in num[(s, k)].items()),
+                                    ((w, num[(m, k)]) for m, w in rest)))
+                   for k in range(nb)}
+            d = c * over[s] * den[s]
         den[i], row = _numerators(row, d)
         for j, cell in row.items():
             num[(i, j)] = cell
@@ -403,16 +471,19 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     `structure_match` holds when the cells of the generator rows of
     `_closure` match the composed maps, phi(e_g) phi(e_j) = phi(t[g][j])
     for every generator g and every j, and the table is associative
-    (`check_associative`).  That is every cell.  Let e_i = c^-1 e_a e_s be
-    a derived row, rows a and s reached before it and all their cells
-    matching.  Cell (a, s) gives phi(e_a) phi(e_s) = c phi(e_i), so
-    phi(e_i) = c^-1 phi(e_a) phi(e_s), and for every j
-        phi(e_i) phi(e_j) = c^-1 phi(e_a) phi(e_s) phi(e_j)
-                          = c^-1 phi(e_a) phi(e_s e_j)      (row s)
-                          = c^-1 phi(e_a (e_s e_j))         (row a, linearly)
-                          = c^-1 phi((e_a e_s) e_j)         (associativity)
-                          = phi(e_i e_j)                    (e_a e_s = c e_i),
-    so row i matches as well, and by induction every row does.  The rows
+    (`check_associative`).  That is every cell.  Let
+    e_i = c^-1 (e_a e_s - sum_m rest[m] e_m) be a derived row, rows a, s
+    and every row of rest reached before it and all their cells matching.
+    Cell (a, s) gives phi(e_a) phi(e_s) = c phi(e_i) + sum_m rest[m]
+    phi(e_m), so phi(e_i) = c^-1 (phi(e_a) phi(e_s) - sum_m rest[m]
+    phi(e_m)).  For every j, phi(e_a) phi(e_s) phi(e_j)
+        = phi(e_a) phi(e_s e_j)                 (row s)
+        = phi(e_a (e_s e_j))                    (row a, linearly)
+        = phi((e_a e_s) e_j)                    (associativity)
+    and phi(e_m) phi(e_j) = phi(e_m e_j) (the rows of rest), so
+        phi(e_i) phi(e_j) = c^-1 phi((e_a e_s - sum_m rest[m] e_m) e_j)
+                          = phi(e_i e_j),
+    and row i matches as well; by induction every row does.  The rows
     are read off this table, not off how it was built, so the verdict is
     that of checking every cell, for any table.
     """
@@ -424,11 +495,10 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
     independent = rank == len(basis)
 
     associative = table.check_associative()
-    cell = rows.__getitem__
     consistent = associative and all(
-        _flat(compose(maps[g], maps[j])) == _expand(table.table[(g, j)], cell)
-        for g, how in _closure(basis, table.table) if how is None
-        for j in range(len(basis)))
+        _flat(compose(maps[g], maps[j]))
+        == _expand((c, rows[l]) for l, c in table.table[(g, j)].items())
+        for g in table.generator_rows() for j in range(len(basis)))
 
     if der is None:
         der = derivations(alg)

@@ -126,6 +126,7 @@ def cmd_centralizer(args):
     alg = build(CaseTag(args.case))
     table = structure_constants(alg, args.n)
     obj = table.to_json_obj()
+    obj["direct_rows"] = len(table.generator_rows())
     obj["identity_ok"] = table.check_identity()
     obj["associative_ok"] = table.check_associative()
     print(json.dumps(obj) if args.json else json.dumps(obj, indent=2))

@@ -229,8 +229,10 @@ def solve_exact(columns, target):
     pivots on the same columns as it would on the full system: the columns
     in the order given, of any dependent ones the later being the free
     variables, set to 0.  The normal equations always have a solution; the
-    residual check target - sum_i x_i * columns[i] = 0 is the exactness
-    gate and raises ValueError if the system is inconsistent.
+    residual check is the exactness gate and raises ValueError if the
+    system is inconsistent.  It runs over the integer columns, as
+    L b - sum_i (L y_i) a_i = 0 with L the common denominator of y, which
+    is t times target - sum_i x_i * columns[i] = 0, scaled by L.
     """
     m = len(columns)
     prim = [clear_denominators(c) for c in columns]
@@ -239,14 +241,16 @@ def solve_exact(columns, target):
     t = _scale(target, b)
     mat, pivots = rref([[_dot(a, c) for c in prim] + [_dot(a, b)] for a in prim], m)
 
-    x = [Fraction(0)] * m
+    y = [Fraction(0)] * m
     for r, col in enumerate(pivots):
-        x[col] = mat[r][m] * scales[col] / t
-    residual = sparse_sum(chain(target.items(), ((k, -xi * v) for xi, c in zip(x, columns)
-                                                 if xi for k, v in c.items())))
+        y[col] = mat[r][m]
+    den = lcm(*[v.denominator for v in y])
+    ly = [v.numerator * (den // v.denominator) for v in y]
+    residual = sparse_sum(chain(((k, den * v) for k, v in b.items()),
+                                ((k, -w * v) for w, a in zip(ly, prim) if w for k, v in a.items())))
     if residual:
         raise ValueError("inconsistent linear system")
-    return x
+    return [v * s / t for v, s in zip(y, scales)]
 
 
 def _scale(row, prim):

@@ -102,9 +102,9 @@ def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7, monkeypatch):
 
 
 @pytest.mark.parametrize("case, n, direct_rows, digest", [
-    ("dim3", 4, 13, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
-    ("kap", 4, 13, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
-    ("dim7", 3, 12, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
+    ("dim3", 4, 7, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
+    ("kap", 4, 7, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
+    ("dim7", 3, 4, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
 ], ids=["dim3-4", "kap-4", "dim7-3"])
 def test_largest_tables_pinned(all_algebras, case, n, direct_rows, digest, monkeypatch):
     # the tables past the golden files, pinned to the word-path tables that
@@ -126,34 +126,78 @@ def test_numerators_one_positive_reduced_denominator():
         12, {0: {0: 2}, 1: {2: -9}})
 
 
-def _derived_cell_by_fractions(t, a, s, c, k):
-    # the reference formula t[i][k] = c^-1 sum_m t[s][k][m] t[a][m], in Fractions
+def _derived_cell_by_fractions(t, a, s, c, rest, k):
+    # the reference formula, in Fractions:
+    # t[i][k] = c^-1 (sum_m t[s][k][m] t[a][m] - sum_(m in rest) rest[m] t[m][k])
     out = {}
     for m, x in t[(s, k)].items():
         for p, y in t[(a, m)].items():
             out[p] = out.get(p, Fraction(0)) + x * y / c
+    for m, r in rest.items():
+        for p, y in t[(m, k)].items():
+            out[p] = out.get(p, Fraction(0)) - r * y / c
     return {p: v for p, v in out.items() if v}
 
 
-@pytest.mark.parametrize("case, n, factors, max_den", [
-    ("dim3", 4, {-2, 1, 3}, 1),
-    ("kap", 4, {-1, 1}, 16),
-    ("dim7", 3, {-6, 1, 7}, 1),
+@pytest.mark.parametrize("case, n, factors, max_den, with_rest", [
+    ("dim3", 4, {-6, -2, 1}, 1, 10),
+    ("kap", 4, {-1, Fraction(-3, 4), Fraction(1, 2), 1}, 16, 10),
+    ("dim7", 3, {-6, -2, 1, 3, 36}, 1, 9),
 ], ids=["dim3-4", "kap-4", "dim7-3"])
-def test_integer_rows_match_fraction_formula(all_algebras, case, n, factors, max_den):
+def test_integer_rows_match_fraction_formula(all_algebras, case, n, factors, max_den,
+                                             with_rest):
     # every derived row, summed over integer numerators, equals the Fraction
     # formula read off the finished table; these tables hold the factors c
-    # other than +-1 and kap's denominators up to 16
+    # other than +-1, kap's denominators up to 16 and rows derived through
+    # cells of several terms
     alg = next(a for a in all_algebras if a.case.value == case)
     table = structure_constants(alg, n)
     t = table.table
     assert all(type(v) is Fraction for cell in t.values() for v in cell.values())
     assert max(v.denominator for cell in t.values() for v in cell.values()) == max_den
-    derived = {i: h for i, h in _closure(table.basis, t) if h is not None}
-    assert {c for _, _, c in derived.values()} == factors
-    for i, (a, s, c) in derived.items():
+    derived = {i: h for i, h in _closure(table, t) if h is not None}
+    assert {c for _, _, c, _ in derived.values()} == factors
+    assert sum(1 for *_, rest in derived.values() if rest) == with_rest
+    for i, (a, s, c, rest) in derived.items():
         for k in range(len(table.basis)):
-            assert t[(i, k)] == _derived_cell_by_fractions(t, a, s, c, k), (i, k)
+            assert t[(i, k)] == _derived_cell_by_fractions(t, a, s, c, rest, k), (i, k)
+
+
+def _is_local(d, n):
+    # id_j (x) x (x) id_(n-2-j) for some j: every strand outside j, j+1 is
+    # a straight vertex-free t_k -- b_k
+    straight = {frozenset(cb) for cv, cb in d.components() if not cv}
+    return any(all(frozenset({("t", k), ("b", k)}) in straight
+                   for k in range(n) if k not in (j, j + 1))
+               for j in range(n - 1))
+
+
+TABLES = [("dim3", n) for n in range(5)] + [("kap", n) for n in range(5)] + \
+         [("dim7", n) for n in range(4)]
+
+
+@pytest.mark.parametrize("case, n", TABLES, ids=[f"{c}-{n}" for c, n in TABLES])
+def test_closure_reaches_every_row_once(all_algebras, case, n):
+    # the closure yields every row once; the local rows come first, and
+    # every derived row's cell holds only rows yielded before it
+    alg = next(a for a in all_algebras if a.case.value == case)
+    table = structure_constants(alg, n)
+    t, nb = table.table, len(table.basis)
+    order = list(_closure(table, t))
+    assert sorted(i for i, _ in order) == list(range(nb))
+    local = {i for i, d in enumerate(table.basis) if n >= 2 and _is_local(d, n)}
+    assert len(local) == (1 + (n - 1) * (len(basis_diagrams(alg.case, 2, 2)) - 1)
+                          if n >= 2 else 0)
+    seen = set()
+    for i, how in order:
+        if how is None:
+            if i not in local:
+                assert local <= seen, (i, local - seen)
+        else:
+            a, s, c, rest = how
+            assert {a, s, *rest} <= seen, i
+            assert c and t[(a, s)] == {i: c, **rest}, i
+        seen.add(i)
 
 
 def _associative_by_all_triples(table):
@@ -199,7 +243,7 @@ def test_associativity_check_matches_all_triples(dim3, kap):
     for alg in (dim3, kap):
         table = structure_constants(alg, 3)
         nb = len(table.basis)
-        how = dict(_closure(table.basis, table.table))
+        how = dict(_closure(table, table.table))
         generators = [i for i, h in how.items() if h is None]
         derived = [i for i, h in how.items() if h is not None]
         assert generators and derived
@@ -234,7 +278,7 @@ def test_associativity_check_on_odd_denominators(dim3, kap, dim7):
                      for v in cell.values()))
         assert dens % (3 * 5 * 7) == 0
         assert scaled.check_associative() and _associative_by_all_triples(scaled)
-        how = dict(_closure(scaled.basis, scaled.table))
+        how = dict(_closure(scaled, scaled.table))
         rows = [max(i for i, h in how.items() if h is None)]
         rows += [i for i, h in how.items() if h is not None][-1:]
         cases = [(i, rng.randrange(nb)) for i in rows]
@@ -358,23 +402,26 @@ def test_matrix_model_catches_a_wrong_coefficient(dim3, monkeypatch):
 
 def test_matrix_model_catches_a_wrong_derived_row(dim3, kap, monkeypatch):
     # only the generator rows' cells are composed; a wrong cell in a row
-    # that _closure derives is caught through associativity
+    # that _closure derives, from a single-term cell or through a cell of
+    # several terms, is caught through associativity
     real = structure_constants
 
     def perturbed(alg, n):
         table = real(alg, n)
-        derived = {i for i, how in centralizer._closure(table.basis, table.table)
+        derived = {i: how for i, how in centralizer._closure(table, table.table)
                    if how is not None}
+        rows = [i for i, how in derived.items() if bool(how[3]) is with_rest]
         (i, j), row = min((ij, row) for ij, row in table.table.items()
-                          if ij[0] in derived and row)
+                          if ij[0] in rows and row)
         k = min(row)
         table.table[(i, j)] = {**row, k: row[k] + 1}
         return table
 
     monkeypatch.setattr(centralizer, "structure_constants", perturbed)
-    for alg in (dim3, kap):
-        rep = matrix_model(alg, 3)
-        assert rep["independent"] and not rep["structure_match"], alg.case
+    for with_rest in (False, True):
+        for alg in (dim3, kap):
+            rep = matrix_model(alg, 3)
+            assert rep["independent"] and not rep["structure_match"], (alg.case, with_rest)
 
 
 def test_kap_example_map(kap):

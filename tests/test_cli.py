@@ -281,11 +281,14 @@ def test_negative_arity_exit_2(capsys, argv):
 
 
 def test_centralizer_table(capsys):
-    code, out = run(capsys, "--json", "centralizer", "--case", "kap", "2")
-    obj = json.loads(out)
-    assert code == 0
-    assert obj["basis_size"] == 3
-    assert obj["identity_ok"] and obj["associative_ok"]
+    # direct_rows counts the rows multiplied by stacking: all three at
+    # n = 2, the six of 15 that no finished cell derives at n = 3
+    for n, size, direct in ((2, 3, 3), (3, 15, 6)):
+        code, out = run(capsys, "--json", "centralizer", "--case", "kap", str(n))
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["basis_size"] == size and obj["direct_rows"] == direct
+        assert obj["identity_ok"] and obj["associative_ok"]
 
 
 def test_centralizer_checks_run_once(capsys, monkeypatch):

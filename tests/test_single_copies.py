@@ -124,9 +124,9 @@ def test_one_row_closure(dim3, monkeypatch):
     calls = []
     real = centralizer._closure
 
-    def counted(basis, table):
-        calls.append(len(basis))
-        return real(basis, table)
+    def counted(st, table):
+        calls.append(len(st.basis))
+        return real(st, table)
 
     monkeypatch.setattr(centralizer, "_closure", counted)
     table = centralizer.structure_constants(dim3, 2)
@@ -143,14 +143,13 @@ def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
     calls = []
     real = centralizer._expand
 
-    def counted(coeffs, cell):
-        def checked(l):
-            got = cell(l)
-            calls.append(all(type(v) is int for v in got.values()))
-            return got
+    def counted(terms):
+        def checked():
+            for c, cell in terms:
+                calls.append(type(c) is int and all(type(v) is int for v in cell.values()))
+                yield c, cell
 
-        calls.append(all(type(v) is int for v in coeffs.values()))
-        return real(coeffs, checked)
+        return real(checked())
 
     monkeypatch.setattr(centralizer, "_expand", counted)
     table = centralizer.structure_constants(kap, 3)
