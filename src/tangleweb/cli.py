@@ -18,7 +18,8 @@ from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
 from .oracle import (EXACT_LIMIT, CertificateError, certified_dim, check_closed_under_bracket,
                      check_kills_form, derivations, invariant_dim, zero_grade)
-from .rewrite import RewriteTrace, _eval_vector, eval_diagram, normalize, rules_for
+from .rewrite import (RewriteError, RewriteTrace, _eval_vector, eval_diagram, normalize,
+                      rules_for)
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
 
@@ -172,7 +173,11 @@ def cmd_verify(args):
     der = derivations(alg)
     check("derivations closed under bracket", check_closed_under_bracket(der))
     check("derivations kill the form", check_kills_form(der))
-    rules = rules_for(alg)
+    try:
+        rules_for(alg)
+    except (RewriteError, ValueError):
+        check("rule derivation", False)
+        return 1              # every check below normalizes with the rules
     check("rule derivation", True)  # construction already verifies exactness
     word = parse_word("tangle 2 -> 2 / x")
     out = normalize(word, alg)

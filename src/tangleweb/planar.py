@@ -116,7 +116,7 @@ class PlanarDiagram:
 
     def sigma(self, h):
         """Next half-edge counterclockwise around the vertex of h."""
-        kind, vid, slot = self.loc[h]
+        _, vid, slot = self.loc[h]
         triple = self.rot[vid]
         return triple[(slot + 1) % 3]
 
@@ -552,7 +552,13 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
     """Extract a slice word evaluating to the same morphism.
 
     Greedy frontier sweep: cap adjacent returning strands, merge adjacent
-    strands meeting at a vertex, otherwise expand through a vertex.  The
+    strands meeting at a vertex, otherwise expand through a vertex; when
+    none applies, open the next component that meets no top point with a
+    cup.  Such a component can only be entered through its own cup, so
+    they are listed once, in `components()` order, and each is opened at
+    most once.  The sweep ends on any input: each step uses up a pending
+    vertex (merge, expand), two strands (cap) or one listed component
+    (cup), and only expansions (+1 strand) and cups (+2) add strands.  The
     result is verified by re-tracing, so a convention slip fails loudly
     instead of silently changing values.
     """
@@ -565,6 +571,8 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
         slices.append([Generator.CUP] + [Generator.ID] * n)
         slices.append([Generator.CAP] + [Generator.ID] * n)
     pending = set(d.rot)
+    unreached = (comp for comp in d.components()
+                 if not any(r[0] == TOP for r in comp[1]))
 
     def far(h):
         return d.pairing[h]
@@ -573,30 +581,23 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
         w = d.loc[h]
         return w[1] if w[0] == VERT else None
 
-    guard = 0
-    limit = 20 * (len(d.rot) + d.edge_count() + n + m + 4)
-    while True:
-        guard += 1
-        if guard > limit:
-            raise PlanarError("slicing did not terminate; invalid diagram?")
-        acted = False
+    def above(h):
+        w = d.loc[h]
+        return w[0] == TOP or (w[0] == VERT and w[1] not in pending)
 
-        def above(h):
-            w = d.loc[h]
-            return w[0] == TOP or (w[0] == VERT and w[1] not in pending)
-
-        # 1. cap adjacent strands that are two sides of one edge bending back up
+    def cap():
+        """Cap two adjacent strands, the sides of one edge bending back up."""
         for i in range(len(frontier) - 1):
             if (far(frontier[i]) == frontier[i + 1]
                     and above(frontier[i]) and above(frontier[i + 1])):
                 slices.append([Generator.ID] * i + [Generator.CAP]
                               + [Generator.ID] * (len(frontier) - i - 2))
                 del frontier[i:i + 2]
-                acted = True
-                break
-        if acted:
-            continue
-        # 2. merge two adjacent strands at a shared vertex (rotation-compatible)
+                return True
+        return False
+
+    def merge():
+        """Merge two adjacent strands at a shared vertex (rotation-compatible)."""
         for i in range(len(frontier) - 1):
             a, b = far(frontier[i]), far(frontier[i + 1])
             va, vb = vertex_at(a), vertex_at(b)
@@ -605,12 +606,12 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
                               + [Generator.ID] * (len(frontier) - i - 2))
                 pending.discard(va)
                 frontier[i:i + 2] = [d.sigma(a)]
-                acted = True
-                break
-        if acted:
-            continue
-        # 3. expand the leftmost strand ending at a pending vertex; merging is
-        #    only an optimization, a comult plus a later cap is always sound
+                return True
+        return False
+
+    def expand():
+        """Expand the leftmost strand ending at a pending vertex; merging is
+        only an optimization, a comult plus a later cap is always sound."""
         for i, h in enumerate(frontier):
             v = vertex_at(far(h))
             if v is not None and v in pending:
@@ -619,17 +620,19 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
                               + [Generator.ID] * (len(frontier) - i - 1))
                 pending.discard(v)
                 frontier[i:i + 1] = [d.sigma(a), d.sigma(d.sigma(a))]
-                acted = True
-                break
-        if acted:
+                return True
+        return False
+
+    while True:
+        if cap() or merge() or expand():
             continue
-        # 4. done?
         if (not pending and len(frontier) == m
                 and all(d.loc[far(h)][0] == BOT for h in frontier)):
             break
-        # 5. seed an unreached component with a cup
-        if not _seed_component(d, frontier, pending, slices):
+        comp = next(unreached, None)     # stuck: open the next component
+        if comp is None:
             raise PlanarError("slicing is stuck; invalid diagram?")
+        _open_component(d, frontier, comp, slices)
 
     order = [d.loc[far(h)] for h in frontier]
     if order != [(BOT, j) for j in range(m)]:
@@ -641,27 +644,15 @@ def planar_to_word(diag: PlanarDiagram) -> TangleWord:
     return word
 
 
-def _seed_component(d, frontier, pending, slices):
-    """Insert a cup opening a component unreached from the top boundary.
+def _open_component(d, frontier, comp, slices):
+    """Insert a cup opening `comp`, a component that meets no top point.
 
-    Only fires when the sweep is stuck, i.e. every current strand runs to
-    the bottom boundary; insertion keeps bottom indices increasing.
+    Called when the sweep is stuck, i.e. every current strand runs to the
+    bottom boundary; the cup enters at the component's leftmost bottom
+    point, or at its smallest vertex if it is closed, and is inserted so
+    that bottom indices keep increasing.
     """
-    target = None
-    for comp_v, comp_b in d.components():
-        if comp_v and not (comp_v <= pending):
-            continue
-        if any(r[0] == TOP for r in comp_b):
-            continue
-        if not comp_v and comp_b:
-            hs = [d.boundary_halfedge(r) for r in comp_b]
-            if any(h in frontier or d.pairing[h] in frontier for h in hs):
-                continue
-        target = (comp_v, comp_b)
-        break
-    if target is None:
-        return False
-    comp_v, comp_b = target
+    comp_v, comp_b = comp
     insert_at = len(frontier)
     if comp_b:
         jmin = min(r[1] for r in comp_b)
@@ -678,4 +669,3 @@ def _seed_component(d, frontier, pending, slices):
     slices.append([Generator.ID] * insert_at + [Generator.CUP]
                   + [Generator.ID] * (len(frontier) - insert_at))
     frontier[insert_at:insert_at] = [a, b]
-    return True

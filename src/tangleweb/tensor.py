@@ -28,10 +28,12 @@ from .basis import BudgetError
 from .linalg import sparse_mul, sparse_sum
 from .tangle import Generator, TangleWord
 
-# Most entries one evaluation may hold: the starting identity and the
-# result of each slice are checked against it.  Over 4x the largest
-# intermediate of the test suite and benchmark (1,959,552 entries, a dim7
-# [4]->[4] word).
+# Most entries one evaluation may hold.  The starting identity is checked
+# against it, and each slice before it is applied, by a bound on what the
+# slice's result can hold (see evaluate).  The largest such bound in the
+# test suite is 5,764,801 = 7^8, the key space of a slice of a dim7
+# [4]->[4] word, and the largest slice result there is 1,959,552 entries;
+# the benchmark's bounds stay under 20,000.
 MAX_ENTRIES = 8_000_000
 
 
@@ -292,10 +294,11 @@ _TABLES = {}
 
 
 def _slice_tables(alg):
-    """(push, pull), each {Generator: {index: [(index, coeff)]}} regrouped
-    from generator_map, push by input index and pull by output index, so
-    each generator's matrix is defined once.  ID has no table: the kernel
-    passes its index through unchanged."""
+    """(push, pull), each (tables, fan): tables is {Generator: {index:
+    [(index, coeff)]}} regrouped from generator_map, push by input index and
+    pull by output index, so each generator's matrix is defined once, and fan
+    is {Generator: its longest row}.  ID has no table: the kernel passes its
+    index through unchanged, so its fan is 1."""
     push, pull = {}, {}
     for gen in Generator:
         if gen is not Generator.ID:
@@ -304,7 +307,18 @@ def _slice_tables(alg):
             for (o, i), c in generator_map(alg, gen).entries.items():
                 by_in.setdefault(i, []).append((o, c))
                 by_out.setdefault(o, []).append((i, c))
-    return push, pull
+
+    def fan(tables):
+        return {Generator.ID: 1, **{g: max(map(len, rows.values()))
+                                    for g, rows in tables.items()}}
+
+    return (push, fan(push)), (pull, fan(pull))
+
+
+def _capped_power(base, exp):
+    """base ** exp exactly when it is at most MAX_ENTRIES; otherwise, for
+    base >= 2, some number over MAX_ENTRIES, without computing the power."""
+    return base ** min(exp, MAX_ENTRIES.bit_length())
 
 
 def _apply_slice(entries, plan):
@@ -345,24 +359,37 @@ def evaluate(word: TangleWord, alg: CrossAlgebra) -> TensorMap:
     A word with fewer outputs than inputs is evaluated from its output side:
     output indices are pulled up through the slices in reverse, each
     generator keyed by its outputs.  Every other word pushes its input
-    indices down.  Raises BudgetError when the starting identity or the
-    result of a slice would hold more than MAX_ENTRIES entries.
+    indices down.
+
+    Raises BudgetError, before doing the work, when the starting identity
+    would hold more than MAX_ENTRIES entries, or when a slice's result could:
+    each entry in yields at most the product of the slice's generators'
+    longest table rows (their fan), and the result is keyed by `start` fixed
+    and `width` moving indices, so it has at most dim^(start + width)
+    entries.  A slice is refused when both bounds are over the budget; the
+    second is counted only when the first is.
     """
     word.validate()
-    push, pull = per_case(_TABLES, alg, _slice_tables)
     pulled = word.n_out < word.n_in
     start = word.n_out if pulled else word.n_in
-    if alg.dim ** start > MAX_ENTRIES:
+    if _capped_power(alg.dim, start) > MAX_ENTRIES:
         raise BudgetError(f"evaluation starts from {alg.dim}^{start} entries, "
                           f"more than the budget of {MAX_ENTRIES}")
-    tables = pull if pulled else push
+    push, pull = per_case(_TABLES, alg, _slice_tables)
+    tables, fan = pull if pulled else push
     acc = identity_map(alg, start).entries
     for slice_ in (reversed(word.slices) if pulled else word.slices):
+        bound = len(acc)
+        for g in slice_:
+            bound *= fan[g]
+            if bound > MAX_ENTRIES:
+                width = sum(gen.n_in if pulled else gen.n_out for gen in slice_)
+                if _capped_power(alg.dim, start + width) > MAX_ENTRIES:
+                    raise BudgetError(f"an evaluation slice could hold more than "
+                                      f"the budget of {MAX_ENTRIES} entries")
+                break
         acc = _apply_slice(acc, [(g.n_out if pulled else g.n_in, tables.get(g))
                                  for g in slice_])
-        if len(acc) > MAX_ENTRIES:
-            raise BudgetError(f"evaluation reached {len(acc)} entries, "
-                              f"more than the budget of {MAX_ENTRIES}")
     if pulled:
         acc = {(o, i): c for (i, o), c in acc.items()}
     return TensorMap(alg, word.n_in, word.n_out, acc)

@@ -39,6 +39,13 @@ def flipped_fano(dim7):
     return replace(dim7, cross=tuple(tuple(tuple(col) for col in row) for row in cross))
 
 
+# words whose evaluation is over tensor.MAX_ENTRIES: from the start
+# (7^20000000 entries), and in one slice of fifteen cups (3^15 entries,
+# 3^30 keys)
+OVER_BUDGET = (("dim7", "tangle 20000000 -> 20000000"),
+               ("dim3", "tangle 0 -> 30 / " + ",".join(["cup"] * 15)))
+
+
 def random_word(rng, max_slices=8, max_strands=6, p_cross=0.0):
     """Seeded random word generator shared across the suite."""
     n_in = rng.randint(0, min(4, max_strands))

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tangleweb
 from tangleweb import basis, cli, linalg
 from tangleweb.algebra import CaseTag, build
 from tangleweb.centralizer import StructureTable
 from tangleweb.cli import main
-from tangleweb.rewrite import rules_for
+from tangleweb.rewrite import RewriteError, rules_for
+
+from conftest import OVER_BUDGET
 
 
 def run(capsys, *argv):
@@ -230,6 +237,19 @@ def test_normalize_over_strand_budget_exit_2(tmp_path, capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("case, text", OVER_BUDGET)
+def test_eval_over_entry_budget_refused_in_a_fresh_process(case, text):
+    # a fresh process, so an evaluation that works before it refuses runs
+    # into the timeout instead of stalling the suite
+    src = str(Path(tangleweb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "tangleweb.cli", "eval", "--case", case, "-"],
+                          input=text, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["basis", "--case", "dim3", "16", "0"],     # riordan(16) = 227,475 diagrams
     ["dims", "--case", "kap", "100000"],        # one riordan(n) per row
@@ -316,3 +336,17 @@ def test_verify_all_cases(capsys, case):
     code, out = run(capsys, "verify", "--case", case)
     assert code == 0
     assert "FAIL" not in out and "ok" in out
+
+
+@pytest.mark.parametrize("exc", [RewriteError("no normal form"),
+                                 ValueError("inconsistent system")])
+def test_verify_reports_a_failed_rule_derivation(capsys, monkeypatch, exc):
+    def failing(alg):
+        raise exc
+
+    monkeypatch.setattr(cli, "rules_for", failing)
+    code, out = run(capsys, "verify", "--case", "kap")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL rule derivation"
+    # the checks that normalize with the rules are skipped
+    assert "normalization" not in out and "centralizer" not in out

@@ -118,6 +118,46 @@ def test_nonplanar_rotation_rejected():
     d.pair(hs[1], hs[3])
     with pytest.raises(PlanarError):
         d.check_valid()
+    # word extraction caps no strand of it and has no component to open
+    with pytest.raises(PlanarError, match="slicing is stuck"):
+        planar_to_word(d)
+
+
+def test_crossing_chords_have_no_word():
+    # chords t0 - b1 and t1 - b0 reach the bottom out of order
+    d, (t0, t1, b1, b0) = open_boundary(2, 2)
+    d.pair(t0, b1)
+    d.pair(t1, b0)
+    with pytest.raises(PlanarError, match="bottom strands out of order"):
+        planar_to_word(d)
+
+
+# diagrams whose words need cups, each with the word extracted from it: a
+# bottom cup pair, a bottom-only tree, two closed components, and a bottom
+# cup pair beside a closed theta
+CUP_WORDS = [
+    ("tangle 1 -> 3 / cup,id", "tangle 1 -> 3 / cup,id"),
+    ("tangle 1 -> 4 / cup,id / w,id,id", "tangle 1 -> 4 / cup,id / id,w,id"),
+    (TWO_CLOSED, "tangle 0 -> 0 / cup / w,id / w,id,id / id,m,id / m,id / cap"
+                 " / cup / w,id / m,id / cap"),
+    ("tangle 2 -> 2 / cap / cup / id,id,cup / id,id,w,id / id,id,id,m / id,id,cap",
+     "tangle 2 -> 2 / cap / cup / id,id,cup / id,id,w,id / id,id,m,id / id,id,cap"),
+]
+
+
+@pytest.mark.parametrize("text, extracted", CUP_WORDS)
+def test_words_opened_with_cups_pinned(monkeypatch, text, extracted):
+    d = word_to_planar(parse_word(text))
+    calls = []
+    components = PlanarDiagram.components
+
+    def counted(self):
+        calls.append(self)
+        return components(self)
+
+    monkeypatch.setattr(PlanarDiagram, "components", counted)
+    assert planar_to_word(d).format() == extracted
+    assert len(calls) == 1 and calls[0] is d   # one listing per call
 
 
 def test_roundtrip_examples(all_algebras):

@@ -12,7 +12,7 @@ from tangleweb.tensor import (TensorMap, bn, bnt, cap_map, compose, cup_map,
                               evaluate, generator_map, identity_map, mult_map, phi,
                               psi, scalar_map, switch_map, tensor_product, transpose)
 
-from conftest import random_word, seeded
+from conftest import OVER_BUDGET, random_word, seeded
 
 
 def tp(*maps):
@@ -204,6 +204,33 @@ def test_evaluate_entry_budget(dim3, monkeypatch):
     monkeypatch.setattr(tensor, "MAX_ENTRIES", 9)
     for text in words:
         assert len(evaluate(parse_word(text), dim3).entries) == 9
+
+
+def test_evaluate_refuses_before_doing_the_work(all_algebras, monkeypatch):
+    algs = {alg.case.value: alg for alg in all_algebras}
+
+    def untouched(*args):
+        raise AssertionError("the work began before the budget check")
+
+    monkeypatch.setattr(tensor, "identity_map", untouched)
+    with pytest.raises(BudgetError, match="starts from 7\\^20000000 entries"):
+        evaluate(parse_word(OVER_BUDGET[0][1]), algs["dim7"])
+    monkeypatch.undo()
+    monkeypatch.setattr(tensor, "_apply_slice", untouched)
+    with pytest.raises(BudgetError, match="slice could hold more than"):
+        evaluate(parse_word(OVER_BUDGET[1][1]), algs["dim3"])
+
+
+def test_evaluate_slice_bound_takes_the_key_space(dim3, monkeypatch):
+    # the last slice's result has at most 3^2 = 9 keys, while its 6 entries
+    # in times the fan of cap,w (1 x 2) bound it only by 12
+    word = parse_word("tangle 0 -> 2 / cup / w,id / cap,w")
+    expected = evaluate(word, dim3)
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 9)
+    assert evaluate(word, dim3) == expected
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 8)
+    with pytest.raises(BudgetError):
+        evaluate(word, dim3)
 
 
 def test_relation_tensors_vanish(dim3, dim7, kap):
