@@ -9,7 +9,7 @@ on basis tuples, which suffices for the multilinear ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -37,8 +37,7 @@ class CrossAlgebra:
     parity: tuple          # parity per basis index
     gram: tuple            # dim x dim matrix of b
     cross: tuple           # dim x dim x dim structure constants of x
-    names: tuple
-    gram_inv: tuple = field(default=None)
+    gram_inv: tuple        # inverse of gram
 
     def b(self, i, j):
         return self.gram[i][j]
@@ -92,7 +91,6 @@ def build(case: CaseTag) -> CrossAlgebra:
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             cross[i][j][k] = Fraction(1)
             cross[j][i][k] = Fraction(-1)
-        names = ("e1", "e2", "e3")
     elif case is CaseTag.DIM7:
         dim = 7
         parity = (EVEN,) * 7
@@ -102,7 +100,6 @@ def build(case: CaseTag) -> CrossAlgebra:
             for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
                 cross[i - 1][j - 1][k - 1] = Fraction(1)
                 cross[j - 1][i - 1][k - 1] = Fraction(-1)
-        names = tuple(f"e{i}" for i in range(1, 8))
     elif case is CaseTag.KAP:
         # basis (e, p, q): one even and two odd elements
         dim = 3
@@ -117,15 +114,12 @@ def build(case: CaseTag) -> CrossAlgebra:
         cross[0][2][2] = cross[2][0][2] = Fraction(1, 2)  # e x q = q x e = q/2
         cross[1][2][0] = Fraction(1)                    # p x q = e
         cross[2][1][0] = Fraction(-1)                   # q x p = -e
-        names = ("e", "p", "q")
     else:
         raise ValueError(f"unknown case {case!r}")
 
-    alg = CrossAlgebra(case=case, dim=dim, parity=parity, gram=_freeze(gram),
-                       cross=_freeze(tuple(map(_freeze, cross))),
-                       names=names)
-    object.__setattr__(alg, "gram_inv", _freeze(invert_matrix(alg.gram)))
-    return alg
+    return CrossAlgebra(case=case, dim=dim, parity=parity, gram=_freeze(gram),
+                        cross=_freeze(tuple(map(_freeze, cross))),
+                        gram_inv=_freeze(invert_matrix(gram)))
 
 
 def per_case(cache, alg, make):

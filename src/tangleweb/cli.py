@@ -61,7 +61,7 @@ def cmd_normalize(args):
     alg = build(CaseTag(args.case))
     word = _load_word(args.word_file)
     trace = RewriteTrace(alg.case) if args.trace else None
-    out = normalize(word, alg, trace=trace)
+    out = normalize(word, alg, trace=trace, memo={})
     terms = [{"diagram": d.canonical_encoding().decode(), "coeff": format_fraction(c)}
              for d, c in sorted(out, key=lambda t: t[0].canonical_encoding())]
     payload = {"case": alg.case.value, "terms": terms}

@@ -271,28 +271,31 @@ def _action_rows(alg, entries, dp, n, alphas):
     each (flat alpha, alpha) of `alphas`, flat beta being beta's position in
     lexicographic order.
 
-    The flat index of alpha with slot k changed from alpha[k] to a is
-    base + powers[k] * (a - alpha[k]), base being alpha's own position, so
-    each entry costs one addition; the per-slot offsets are tabled once."""
+    The flat index of alpha with slot k changed from alpha[k] = b to a is
+    base + d^(n-1-k) * (a - b), base being alpha's own position, so each
+    column is tabled once as (a - b, c).  No two off-diagonal entries of a
+    row share a key: offsets of one slot differ with a, and offsets of slots
+    k < k' are powers of d apart times digits 0 < |a - b| < d, which cannot
+    match.  The diagonal entries all land on base and are summed as one
+    scalar."""
     par = alg.parity
     d = alg.dim
     powers = [d ** i for i in range(n)][::-1]
-    cols = [[] for _ in range(d)]
-    for (a, b), c in entries.items():
-        cols[b].append((a, c))
-    # shift[k][b]: (offset, coeff) for each entry in column b, acting in slot k
-    shift = [[[(p * (a - b), c) for a, c in col] for b, col in enumerate(cols)]
-             for p in powers]
-    # the same with the coefficient negated, for an odd D past an odd prefix
-    neg = [[[(off, -c) for off, c in col] for col in slot] for slot in shift]
+    cols = [[(a - b, c) for (a, b), c in entries.items() if b == col != a] for col in range(d)]
+    diag = [entries.get((b, b), 0) for b in range(d)]
     for base, alpha in alphas:
-        terms = []
-        odd = 0
-        for k, b in enumerate(alpha):
-            terms += (neg if odd else shift)[k][b]
+        row = {}
+        total = 0
+        sign = 1
+        for p, b in zip(powers, alpha):
+            total += sign * diag[b]
+            for delta, c in cols[b]:
+                row[base + p * delta] = sign * c
             if dp and par[b]:
-                odd ^= 1
-        yield alpha, sparse_sum((base + off, c) for off, c in terms)
+                sign = -sign
+        if total:
+            row[base] = total
+        yield alpha, row
 
 
 def action_matrix(der: DerivationAlgebra, which: int, n: int):

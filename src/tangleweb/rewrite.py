@@ -35,6 +35,11 @@ MAX_CROSSING_TERMS = 1 << 14
 # normalizing costs time linear in them even for an identity (200,000
 # strands took ~10 s).  The widest word the test suite normalizes has 60.
 MAX_STRANDS = 1 << 10
+# rewrite steps one normalize_diagrams call may take: some short words
+# re-reduce repeated sub-diagrams for minutes without a memo.  The library's
+# largest counts are 2,544 (a dim7 word of the soundness tests) and 2,355
+# (brauer_map for kap at n = 4).
+MAX_REWRITE_STEPS = 1 << 14
 
 
 def eval_diagram(d: PlanarDiagram, alg: CrossAlgebra):
@@ -396,8 +401,12 @@ def normalize_diagrams(terms, alg: CrossAlgebra, *, trace: RewriteTrace | None =
     basis expansion, whatever the rewrite path.  A memo may only be shared
     by calls with the same `alg`, and a `trace` then lists only the
     reductions actually performed.
+
+    Raises BudgetError once the call has taken more than MAX_REWRITE_STEPS
+    rewrite steps; a memo's reuses are not steps.
     """
     rules = rules_for(alg)
+    budget = MAX_REWRITE_STEPS
     out = LinComb()
     # frame: (memo key, weight, pending outcomes, accumulator), outcomes popped
     # last first.  An unkeyed frame's outcomes carry their coefficient from
@@ -434,6 +443,10 @@ def normalize_diagrams(terms, alg: CrossAlgebra, *, trace: RewriteTrace | None =
             if d_key is not None:
                 memo[d_key] = ((d, factor),)
             continue
+        budget -= 1
+        if budget < 0:
+            raise BudgetError(f"normalizing takes more than the budget of "
+                              f"{MAX_REWRITE_STEPS} rewrite steps")
         rule_name, location, outcomes = step
         if trace is not None:
             trace.record(rule_name, location, measure(d, alg.case), outcomes)

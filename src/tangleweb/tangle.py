@@ -99,13 +99,11 @@ def parse_word(text) -> TangleWord:
 
     Header "tangle n -> m"; slices follow, one per line or '/'-separated,
     generators comma-separated from {id, cap, cup, m, w, x}.  Blank lines
-    and '#' comments are ignored.
+    and '#' comments are ignored; a comment runs to the end of its line and
+    may contain '/'.
     """
-    pieces = []
-    for line in text.replace("/", "\n").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            pieces.append(line)
+    pieces = [piece.strip() for line in text.splitlines()
+              for piece in line.split("#", 1)[0].split("/") if piece.strip()]
     if not pieces:
         raise WordError("empty input")
     header = pieces[0].split()

@@ -158,85 +158,54 @@ def tensor_product(f: TensorMap, g: TensorMap) -> TensorMap:
 # ---------------------------------------------------------------- pairings
 
 def cap_map(alg) -> TensorMap:
-    entries = {}
     d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            c = alg.gram[i][j]
-            if c:
-                entries[((), (i, j))] = Fraction(c)
-    return TensorMap(alg, 2, 0, entries)
+    return TensorMap(alg, 2, 0, {((), (i, j)): alg.gram[i][j]
+                                 for i in range(d) for j in range(d)})
 
 
 def cup_map(alg) -> TensorMap:
     # b^t(1) = sum_i v_i (x) u_i; column i of gram^-1 holds the dual vector v_i
-    entries = {}
-    gi = alg.gram_inv
     d = alg.dim
-    for i in range(d):
-        for a in range(d):
-            c = gi[a][i]
-            if c:
-                entries[((a, i), ())] = Fraction(c)
-    return TensorMap(alg, 0, 2, entries)
+    return TensorMap(alg, 0, 2, {((a, i), ()): alg.gram_inv[a][i]
+                                 for i in range(d) for a in range(d)})
 
 
 def mult_map(alg) -> TensorMap:
-    entries = {}
     d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            for k, c in enumerate(alg.cross[i][j]):
-                if c:
-                    entries[((k,), (i, j))] = Fraction(c)
-    return TensorMap(alg, 2, 1, entries)
+    return TensorMap(alg, 2, 1, {((k,), (i, j)): c for i in range(d) for j in range(d)
+                                 for k, c in enumerate(alg.cross[i][j])})
 
 
 def switch_map(alg) -> TensorMap:
-    entries = {}
     d = alg.dim
     par = alg.parity
-    for i in range(d):
-        for j in range(d):
-            sign = -1 if (par[i] and par[j]) else 1
-            entries[((j, i), (i, j))] = Fraction(sign)
-    return TensorMap(alg, 2, 2, entries)
+    return TensorMap(alg, 2, 2, {((j, i), (i, j)): -1 if par[i] and par[j] else 1
+                                 for i in range(d) for j in range(d)})
 
 
-def bn(alg, n: int) -> TensorMap:
-    """Nested pairing V^(x)2n -> F, strand i against strand 2n+1-i.
-
-    Built as the iterated composition of single caps applied innermost first,
-    so that any grading signs come out of the generic machinery.
-    """
+def _nested(alg, n, pair):
+    """n nested copies of a cap or cup `pair`, innermost first, so that any
+    grading signs come out of the generic machinery: copy k is
+    id_k (x) pair (x) id_k, composed after the earlier copies for a cap and
+    before them for a cup."""
     if n < 0:
         raise ArityError("n must be nonnegative")
     acc = scalar_map(alg, 1)
-    cap = cap_map(alg)
     for k in range(n):
-        # innermost cap of a 2(k+1)-strand pairing: id_1 (x) acc' (x) id_1
-        acc = compose(acc, _middle(alg, cap, k))
+        idk = identity_map(alg, k)
+        copy = tensor_product(idk, tensor_product(pair, idk))
+        acc = compose(acc, copy) if pair.n_out == 0 else compose(copy, acc)
     return acc
 
 
-def _middle(alg, f, k):
-    # id_k (x) f (x) id_k
-    out = f
-    if k:
-        idk = identity_map(alg, k)
-        out = tensor_product(idk, tensor_product(f, idk))
-    return out
+def bn(alg, n: int) -> TensorMap:
+    """Nested pairing V^(x)2n -> F, strand i against strand 2n+1-i."""
+    return _nested(alg, n, cap_map(alg))
 
 
 def bnt(alg, n: int) -> TensorMap:
     """The coevaluation F -> V^(x)2n dual to bn."""
-    if n < 0:
-        raise ArityError("n must be nonnegative")
-    acc = scalar_map(alg, 1)
-    cup = cup_map(alg)
-    for k in range(n):
-        acc = compose(_middle(alg, cup, k), acc)
-    return acc
+    return _nested(alg, n, cup_map(alg))
 
 
 def transpose(f: TensorMap) -> TensorMap:

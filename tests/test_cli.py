@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import tangleweb
-from tangleweb import basis, cli, linalg
-from tangleweb.algebra import CaseTag, build
+from tangleweb import basis, cli, linalg, rewrite
+from tangleweb.algebra import CaseTag, build, format_fraction
 from tangleweb.centralizer import StructureTable
+from tangleweb.tangle import parse_word
 from tangleweb.cli import main
-from tangleweb.rewrite import RewriteError, rules_for
+from tangleweb.rewrite import RewriteError, normalize, rules_for
 
 from conftest import OVER_BUDGET
 
@@ -75,6 +76,31 @@ def test_normalize_trace(tmp_path, capsys):
     code, out = run(capsys, "--json", "--trace", "normalize", "--case", "dim3", f)
     obj = json.loads(out)
     assert code == 0 and "trace" in obj and obj["trace"]
+
+
+# a ladder of 24 rungs: without a memo its repeated sub-diagrams are
+# reduced again and again (about 25 s at dim7); with one, in a fraction of
+# a second
+LADDER = "tangle 2 -> 2\n" + "w,id / id,m\n" * 24
+
+
+def test_normalize_memoizes_a_ladder(tmp_path, capsys):
+    f = word_file(tmp_path, LADDER)
+    code, out = run(capsys, "--json", "normalize", "--case", "dim7", f)
+    assert code == 0
+    alg = build(CaseTag.DIM7)
+    want = sorted((d.canonical_encoding().decode(), format_fraction(c))
+                  for d, c in normalize(parse_word(LADDER), alg, memo={}))
+    assert [(t["diagram"], t["coeff"]) for t in json.loads(out)["terms"]] == want
+
+
+def test_normalize_over_step_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_REWRITE_STEPS", 5)
+    f = word_file(tmp_path, LADDER)
+    code = main(["normalize", "--case", "dim7", f])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: normalizing takes more than the budget of 5 rewrite steps\n"
 
 
 def test_basis_counts(capsys):

@@ -12,7 +12,8 @@ from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
                               generating_subset, invariant_dim, zero_grade)
 from tangleweb.rewrite import _eval_vector
 from tangleweb.tangle import parse_word
-from tangleweb.tensor import TensorMap, compose, evaluate, identity_map
+from tangleweb.tensor import (TensorMap, compose, evaluate, identity_map, tensor_product,
+                              zero_map)
 
 
 def test_derivation_dimensions(dim3, dim7, kap):
@@ -331,3 +332,20 @@ def test_action_matrix_super_signs(kap):
                     assert a2.entries[key] == -D[a][b]
                     found = True
     assert found
+
+
+def test_action_matrix_matches_slotwise_tensor_products(all_algebras):
+    # an independent path to the action on V^(x)n: the sum over slots k of
+    # id_k (x) D (x) id_(n-k-1), with the Koszul signs from tensor_product's
+    # graded rule
+    for alg in all_algebras:
+        der = derivations(alg)
+        for w, mat in enumerate(der.mats):
+            D = TensorMap(alg, 1, 1, {((a,), (b,)): v for a, row in enumerate(mat)
+                                      for b, v in enumerate(row)})
+            for n in range(3 if alg.dim == 7 else 4):
+                want = zero_map(alg, n, n)
+                for k in range(n):
+                    want = want.add(tensor_product(identity_map(alg, k), tensor_product(
+                        D, identity_map(alg, n - k - 1))))
+                assert action_matrix(der, w, n) == want, (alg.case, w, n)

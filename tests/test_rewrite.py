@@ -484,3 +484,17 @@ def test_tree_move_matches_the_component_parse(dim3, kap, monkeypatch):
             before = measure(d, alg.case)
             assert all(measure(d2, alg.case) < before for d2, _ in outcomes)
         assert moves > 100 and 0 < same_edge < moves, alg.case
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["fresh", "memo"])
+def test_step_budget(dim7, monkeypatch, memo):
+    # a call past rewrite.MAX_REWRITE_STEPS steps is refused and one within
+    # it is not; a memo's reuses are not steps
+    w = parse_word("tangle 2 -> 2" + " / w,id / id,m" * 4)
+    trace = RewriteTrace(dim7.case)
+    want = normalize(w, dim7, trace=trace, memo={} if memo else None)
+    monkeypatch.setattr(rewrite, "MAX_REWRITE_STEPS", len(trace.steps) - 1)
+    with pytest.raises(BudgetError, match="rewrite steps"):
+        normalize(w, dim7, memo={} if memo else None)
+    monkeypatch.setattr(rewrite, "MAX_REWRITE_STEPS", len(trace.steps))
+    assert normalize(w, dim7, memo={} if memo else None) == want

@@ -1,5 +1,6 @@
 """Guards against duplicate machinery growing back in the library."""
 
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -292,3 +293,20 @@ def test_one_sparse_sum():
     hits = [(p.name, line.strip()) for p in sorted(SRC.glob("*.py"))
             for line in p.read_text().splitlines() if nested.search(line)]
     assert not hits, hits
+
+
+def test_one_nested_pairing_loop_and_one_action_table():
+    # bn and bnt are one loop; the action rows are written directly from one
+    # table per column, with no negated copy and no per-row sum
+    assert not hasattr(tensor, "_middle")
+    assert "_nested(" in inspect.getsource(tensor.bn)
+    assert "_nested(" in inspect.getsource(tensor.bnt)
+    src = inspect.getsource(oracle._action_rows)
+    assert "sparse_sum(" not in src and "neg" not in src
+
+
+def test_algebra_built_in_one_call():
+    # gram_inv is a constructor argument, not set on a frozen instance
+    fields = [f.name for f in dataclasses.fields(algebra.CrossAlgebra)]
+    assert "names" not in fields and "gram_inv" in fields
+    assert "__setattr__" not in inspect.getsource(algebra.build)

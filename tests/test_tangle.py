@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleweb.tangle import (LinComb, WordError, cap_word, compose_tangles,
-                              cup_word, disjoint_union, identity_word,
-                              parse_word, phi_tangle, psi_tangle,
-                              transpose_tangle)
+from tangleweb.tangle import (Generator, LinComb, TangleWord, WordError, cap_word,
+                              compose_tangles, cup_word, disjoint_union, identity_word,
+                              parse_word, phi_tangle, psi_tangle, transpose_tangle)
 from tangleweb.tensor import compose, evaluate, phi, psi, transpose
 
 from conftest import random_word, seeded
@@ -30,6 +29,15 @@ def test_parse_errors():
         parse_word("tangle 2 -> 2 / m")        # ends at 1 strand
     with pytest.raises(WordError):
         parse_word("tangle 1 -> 1 / m")        # consumes too many
+
+
+def test_comments_may_contain_slashes():
+    # a comment runs to the end of its physical line, '/' included
+    merge = TangleWord(2, 1, [[Generator.MULT]])
+    assert parse_word("tangle 2 -> 1  # merge two strands / one product\nm") == merge
+    assert parse_word("# see a/b\ntangle 2 -> 1\nm") == merge
+    assert parse_word("tangle 2 -> 2 / w,id / id,m  # a rung / of a ladder") == \
+        TangleWord(2, 2, [[Generator.COMULT, Generator.ID], [Generator.ID, Generator.MULT]])
 
 
 def test_compose_arity_mismatch():
