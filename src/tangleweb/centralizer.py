@@ -61,8 +61,9 @@ class StructureTable:
         denominators.
 
         Only the triples (g, j, k) with g a generator of `_closure` are
-        walked.  Suppose (x y) z = x (y z) for every generator x and all
-        basis y, z, and let e_i = c^-1 (e_a e_s - sum_m rest[m] e_m) come
+        walked, all k of one (g, j) in one sum per side.  Suppose
+        (x y) z = x (y z) for every generator x and all basis y, z, and
+        let e_i = c^-1 (e_a e_s - sum_m rest[m] e_m) come
         from a cell e_a e_s = c e_i + sum_m rest[m] e_m of the table, with
         a, s and every row of rest reached before i.  By induction the
         hypothesis holds for a, s and the rows of rest.  For all y and z (by
@@ -78,14 +79,14 @@ class StructureTable:
         as well.
         """
         _, t = _numerators(self.table)
-        nb = len(self.basis)
+        cols = range(len(self.basis))
         for g in self.generator_rows():
-            for j in range(nb):
+            for j in cols:
                 gj = t[(g, j)]
-                for k in range(nb):
-                    if (_expand((c, t[(l, k)]) for l, c in gj.items())
-                            != _expand((c, t[(g, l)]) for l, c in t[(j, k)].items())):
-                        return False
+                if (_expand((k, c, t[(l, k)]) for k in cols for l, c in gj.items())
+                        != _expand((k, c, t[(g, l)]) for k in cols
+                                   for l, c in t[(j, k)].items())):
+                    return False
         return True
 
     def to_json_obj(self):
@@ -108,7 +109,11 @@ def _closure(st, table):
     reading the cells from `table` (keyed (i, j), like st.table; its
     values may be Fractions or integer numerators).  The local rows
     id_j (x) x (x) id_(n-2-j), x in basis_diagrams(case, 2, 2), come
-    first (`_local_rows`), then the rest by (vertex count, index).  `how`
+    first, each x's with j from n-2 down to 0 (`_local_rows`), then the
+    rest by (vertex count, index).  Visiting j in that order rather than
+    from 0 up derives two more local rows at n = 4 in dim3 and kap, 5 of
+    91 rows direct instead of 7, and at n = 5 6 instead of 8 (dim3) and 9
+    (kap); dim7 n = 3 stays at 4 of 35.  `how`
     is (a, s, c, rest) when the cell table[(a, s)] is {i: c} with c != 0
     plus `rest`, rows a and s and every row of rest were yielded before i;
     then e_i = c^-1 (e_a e_s - sum_m rest[m] e_m).  Such a row is taken as
@@ -169,13 +174,14 @@ def _closure(st, table):
 
 def _local_rows(st):
     """The indices of the rows id_j (x) x (x) id_(n-2-j) of `st`, for x in
-    basis_diagrams(case, 2, 2) and then j = 0 .. n-2, each once: every
+    basis_diagrams(case, 2, 2) and then j = n-2 down to 0, each once: every
     [2] -> [2] basis word padded with ID strands, traced and looked up by
-    its canonical encoding."""
+    its canonical encoding.  Descending j was measured to leave `_closure`
+    fewer direct rows than ascending j (see there)."""
     n, rows = st.n, {}
     for x in basis_diagrams(st.case, 2, 2):
         slices = planar_to_word(x).slices
-        for j in range(n - 1):
+        for j in range(n - 2, -1, -1):
             word = TangleWord(n, n, [[Generator.ID] * j + list(sl) + [Generator.ID] * (n - 2 - j)
                                      for sl in slices])
             rows[st.index[word_to_planar(word).canonical_encoding()]] = None
@@ -183,9 +189,11 @@ def _local_rows(st):
 
 
 def _expand(terms):
-    """sum_l c_l * cell_l over the (c_l, cell_l) pairs of `terms`, cells
-    sparse dicts, zero entries dropped; one linalg.sparse_sum call."""
-    return sparse_sum((m, c * v) for c, cell in terms for m, v in cell.items())
+    """sum_l c_l * cell_l over the (k_l, c_l, cell_l) triples of `terms`,
+    each cell a sparse dict placed in column k_l: the entry m of cell_l
+    lands on the key (k_l, m).  Zero entries dropped; one linalg.sparse_sum
+    call."""
+    return sparse_sum(((k, m), c * v) for k, c, cell in terms for m, v in cell.items())
 
 
 def _numerators(cells, den=1):
@@ -193,16 +201,25 @@ def _numerators(cells, den=1):
     cells[key] / den for every key, with no common factor left in d and
     the numerators.  `den` is a nonzero int.
 
-    All cells go through one clear_denominators row; den rides along as
-    one more entry, which comes back as d (negated with every numerator
+    All cells go through one clear_denominators row (`_split`).
+    """
+    return _split({(key, m): v for key, cell in cells.items() for m, v in cell.items()},
+                  den, cells)
+
+
+def _split(flat, den, keys):
+    """`_numerators` of the cells {m: flat[(key, m)]}, one for each key in
+    `keys` (empty where flat has no entry), over den.
+
+    flat is reduced in place as one clear_denominators row; den rides along
+    as one more entry, which comes back as d (negated with every numerator
     when den is negative).
     """
-    flat = {(key, m): v for key, cell in cells.items() for m, v in cell.items()}
     flat[None] = den
     flat = clear_denominators(flat)
     d = flat.pop(None)
     sign = -1 if d < 0 else 1
-    num = {key: {} for key in cells}
+    num = {key: {} for key in keys}
     for (key, m), v in flat.items():
         num[key][m] = sign * v
     return sign * d, num
@@ -232,13 +249,13 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     derived row reads its coefficients off the numerators, c = N_a[s][i] /
     d_a and rest[m] = N_a[s][m] / d_a, so with L the least common multiple
     of d_s and the d_m over rest, the formula above becomes one integer sum
-    per cell (`_expand`)
-        N_i[k] = (L/d_s) sum_m N_s[k][m] N_a[m]
-                 - sum_(m in rest) (L/d_m) N_a[s][m] N_m[k]
+    per row (`_expand`, keyed (column k, basis index p))
+        N_i[k][p] = (L/d_s) sum_m N_s[k][m] N_a[m][p]
+                    - sum_(m in rest) (L/d_m) N_a[s][m] N_m[k][p]
     over d_i = N_a[s][i] L, reduced by the row's gcd and with the sign
-    moved into N_i (`_numerators` again).  Scaling a row changes no cell's
-    terms, so `_closure` finds the same rows on the numerators as it would
-    on the Fractions.  The Fractions are written once, at the end, each
+    moved into N_i, then split into cells (`_split`, as for a generator
+    row).  Scaling a row changes no cell's terms, so `_closure` finds the
+    same rows on the numerators as it would on the Fractions.  The Fractions are written once, at the end, each
     cell's as its numerators are freed; equal values share one Fraction.
     """
     if alg.case is CaseTag.DIM7 and n > 3:
@@ -253,26 +270,25 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     memo = {}
     for i, how in _closure(st, num):
         if how is None:
-            row, d = {}, 1
+            flat, d = {}, 1
             for j, dj in enumerate(basis):
                 out = normalize_diagrams([(compose_planar(basis[i], dj), 1)], alg,
                                          memo=memo)
-                cell = row[j] = {}
                 for diag, c in out:
                     k = index.get(diag.canonical_encoding())
                     if k is None:
                         raise RuntimeError("product left the basis; normalization bug")
-                    cell[k] = c
+                    flat[(j, k)] = c
         else:
             a, s, c, rest = how
             # over[m] = L / d_m: the row of 1 / d_m scaled to primitive integers
             over = clear_denominators({m: Fraction(1, den[m]) for m in (s, *rest)})
             rest = [(m, -over[m] * v) for m, v in rest.items()]
-            row = {k: _expand(chain(((over[s] * x, num[(a, m)]) for m, x in num[(s, k)].items()),
-                                    ((w, num[(m, k)]) for m, w in rest)))
-                   for k in range(nb)}
+            flat = _expand(chain(((k, over[s] * x, num[(a, m)]) for k in range(nb)
+                                  for m, x in num[(s, k)].items()),
+                                 ((k, w, num[(m, k)]) for m, w in rest for k in range(nb))))
             d = c * over[s] * den[s]
-        den[i], row = _numerators(row, d)
+        den[i], row = _split(flat, d, range(nb))
         for j, cell in row.items():
             num[(i, j)] = cell
     fraction = cache(Fraction)      # one object per distinct value in the table
@@ -496,8 +512,8 @@ def matrix_model(alg: CrossAlgebra, n: int, der: DerivationAlgebra | None = None
 
     associative = table.check_associative()
     consistent = associative and all(
-        _flat(compose(maps[g], maps[j]))
-        == _expand((c, rows[l]) for l, c in table.table[(g, j)].items())
+        {(j, m): v for m, v in _flat(compose(maps[g], maps[j])).items()}
+        == _expand((j, c, rows[l]) for l, c in table.table[(g, j)].items())
         for g in table.generator_rows() for j in range(len(basis)))
 
     if der is None:

@@ -8,7 +8,7 @@ import pytest
 from tangleweb import centralizer
 from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.centralizer import (BudgetError, StructureTable, _closure,
-                                   _numerators, brauer_compose,
+                                   _local_rows, _numerators, brauer_compose,
                                    brauer_diagrams, brauer_e, brauer_identity,
                                    brauer_map, brauer_sigma, matching_word,
                                    matrix_model, structure_constants)
@@ -102,8 +102,8 @@ def test_shared_memo_table_matches_fresh_products(dim3, kap, dim7, monkeypatch):
 
 
 @pytest.mark.parametrize("case, n, direct_rows, digest", [
-    ("dim3", 4, 7, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
-    ("kap", 4, 7, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
+    ("dim3", 4, 5, "24c84c79cce1977b7cbfa7ea23efb46f95a0c607ae5fb29318d73ae6d9259ff8"),
+    ("kap", 4, 5, "ce59e118e3ccdd0d0c29a09d9f2be6cb36e29d833c4ed4e32de22ccf119f90fa"),
     ("dim7", 3, 4, "0488c9c7fed513a9d701ac413a6262f31a13c90fa6076e0ac26eae890fd93ba0"),
 ], ids=["dim3-4", "kap-4", "dim7-3"])
 def test_largest_tables_pinned(all_algebras, case, n, direct_rows, digest, monkeypatch):
@@ -140,8 +140,8 @@ def _derived_cell_by_fractions(t, a, s, c, rest, k):
 
 
 @pytest.mark.parametrize("case, n, factors, max_den, with_rest", [
-    ("dim3", 4, {-6, -2, 1}, 1, 10),
-    ("kap", 4, {-1, Fraction(-3, 4), Fraction(1, 2), 1}, 16, 10),
+    ("dim3", 4, {-6, -2, 1, 3}, 1, 14),
+    ("kap", 4, {-1, Fraction(-3, 4), Fraction(1, 2), 1}, 16, 14),
     ("dim7", 3, {-6, -2, 1, 3, 36}, 1, 9),
 ], ids=["dim3-4", "kap-4", "dim7-3"])
 def test_integer_rows_match_fraction_formula(all_algebras, case, n, factors, max_den,
@@ -198,6 +198,31 @@ def test_closure_reaches_every_row_once(all_algebras, case, n):
             assert {a, s, *rest} <= seen, i
             assert c and t[(a, s)] == {i: c, **rest}, i
         seen.add(i)
+
+
+DIRECT_ROWS = {"dim3": [1, 1, 3, 5, 5], "kap": [1, 1, 3, 5, 5], "dim7": [1, 1, 3, 4]}
+
+
+def _local_slot(d, n):
+    # the j of a local row id_j (x) x (x) id_(n-2-j) other than the
+    # identity: the first strand that is not a straight t_k -- b_k
+    straight = {frozenset(cb) for cv, cb in d.components() if not cv}
+    return next((k for k in range(n) if frozenset({("t", k), ("b", k)}) not in straight),
+                None)
+
+
+@pytest.mark.parametrize("case, n", TABLES, ids=[f"{c}-{n}" for c, n in TABLES])
+def test_direct_rows_with_rightmost_local_rows_first(all_algebras, case, n):
+    # _local_rows lists each x's rows from j = n-2 down to 0, so the
+    # rightmost rows come first, and the closure then multiplies this many
+    # rows directly
+    alg = next(a for a in all_algebras if a.case.value == case)
+    table = structure_constants(alg, n)
+    assert len(table.generator_rows()) == DIRECT_ROWS[case][n]
+    slots = [_local_slot(table.basis[i], n) for i in _local_rows(table)]
+    moves = len(basis_diagrams(alg.case, 2, 2)) - 1     # the x other than id
+    assert [j for j in slots if j is not None] == list(range(n - 2, -1, -1)) * moves
+    assert slots.count(None) == (n >= 2)
 
 
 def _associative_by_all_triples(table):

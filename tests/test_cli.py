@@ -328,8 +328,8 @@ def test_negative_arity_exit_2(capsys, argv):
 
 def test_centralizer_table(capsys):
     # direct_rows counts the rows multiplied by stacking: all three at
-    # n = 2, the six of 15 that no finished cell derives at n = 3
-    for n, size, direct in ((2, 3, 3), (3, 15, 6)):
+    # n = 2, the five of 15 that no finished cell derives at n = 3
+    for n, size, direct in ((2, 3, 3), (3, 15, 5)):
         code, out = run(capsys, "--json", "centralizer", "--case", "kap", str(n))
         obj = json.loads(out)
         assert code == 0

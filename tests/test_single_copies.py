@@ -138,26 +138,30 @@ def test_one_row_closure(dim3, monkeypatch):
 
 def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
     # the table builder and the associativity check both form their sums in
-    # centralizer._expand, over integer numerators only; every scaling to
-    # integers goes through linalg.clear_denominators, so centralizer has no
-    # lcm or gcd of its own
-    calls = []
+    # centralizer._expand, over integer numerators only, and the builder in
+    # exactly one call per derived row; every scaling to integers goes
+    # through linalg.clear_denominators, so centralizer has no lcm or gcd of
+    # its own
+    calls, terms = [], []
     real = centralizer._expand
 
-    def counted(terms):
+    def counted(items):
         def checked():
-            for c, cell in terms:
-                calls.append(type(c) is int and all(type(v) is int for v in cell.values()))
-                yield c, cell
+            for k, c, cell in items:
+                terms.append(type(c) is int and all(type(v) is int for v in cell.values()))
+                yield k, c, cell
 
+        calls.append(1)
         return real(checked())
 
     monkeypatch.setattr(centralizer, "_expand", counted)
     table = centralizer.structure_constants(kap, 3)
-    assert calls and all(calls)
-    calls.clear()
+    assert terms and all(terms)
+    derived = len(table.basis) - len(table.generator_rows())
+    assert derived and len(calls) == derived
+    terms.clear()
     assert table.check_associative()
-    assert calls and all(calls)
+    assert terms and all(terms)
     assert centralizer.clear_denominators is linalg.clear_denominators
     src = inspect.getsource(centralizer)
     for name in ("gcd", "lcm"):
