@@ -19,6 +19,13 @@ from .tangle import Generator, TangleWord, compose_tangles, identity_word
 from .tensor import compose
 
 
+# cells one structure table may hold: len(basis) ** 2, checked once the basis
+# is enumerated.  The largest table built is 91^2 = 8,281 (dim3 and kap at
+# n = 4); the next are dim7 n = 4 (455^2 = 207,025) and the 3-dimensional
+# n = 5 (603^2 = 363,609), whose build alone peaked at ~391 MB.
+MAX_TABLE_CELLS = 50_000
+
+
 class StructureTable:
     """Multiplication table basis_i o basis_j = sum_k t[i][j][k] basis_k."""
 
@@ -258,12 +265,11 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     same rows on the numerators as it would on the Fractions.  The Fractions are written once, at the end, each
     cell's as its numerators are freed; equal values share one Fraction.
     """
-    if alg.case is CaseTag.DIM7 and n > 3:
-        raise BudgetError("7-dimensional case budgeted to n <= 3")
-    if alg.case is not CaseTag.DIM7 and n > 4:
-        raise BudgetError("3-dimensional cases budgeted to n <= 4")
     basis = basis_diagrams(alg.case, n, n)
     nb = len(basis)
+    if nb * nb > MAX_TABLE_CELLS:
+        raise BudgetError(f"the table has {nb * nb} cells, over the budget of "
+                          f"{MAX_TABLE_CELLS}")
     st = StructureTable(alg.case, n, basis, {})
     index, table = st.index, st.table
     num, den = {}, {}       # (i, j) -> {k: int}; i -> d_i

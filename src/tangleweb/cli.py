@@ -18,8 +18,7 @@ from .centralizer import brauer_map, matrix_model, structure_constants
 from .grassmann import super_pfaffian_check
 from .oracle import (EXACT_LIMIT, CertificateError, certified_dim, check_closed_under_bracket,
                      check_kills_form, derivations, invariant_dim, zero_grade)
-from .rewrite import (RewriteError, RewriteTrace, _eval_vector, eval_diagram, normalize,
-                      rules_for)
+from .rewrite import RewriteError, RewriteTrace, eval_diagram, normalize, rules_for
 from .tangle import WordError, parse_word
 from .tensor import evaluate, zero_map
 
@@ -111,7 +110,7 @@ def cmd_dims(args):
                         else (t.diagram for t in enumerate_catalan(n, 0)))
             # lazy: certified_dim finds the upper end first, so a row it
             # refuses there evaluates no diagram
-            vectors = (_eval_vector(d, alg) for d in diagrams)
+            vectors = (eval_diagram(d, alg).entries for d in diagrams)
             try:
                 row["invariant_dim"] = certified_dim(alg, n, vectors, der=der)
             except CertificateError as exc:

@@ -383,9 +383,9 @@ def certified_dim(alg: CrossAlgebra, n: int, vectors,
     """Dimension of the invariants of V^(x)n, certified from both ends.
 
     `vectors` are invariant tensors of V^(x)n as {index: coeff} dicts, such
-    as evaluated basis diagrams (`rewrite._eval_vector`), in an iterable
-    consumed once and only after the upper end is found, so a generator
-    makes a size refused there evaluate nothing.  invariant_dim is
+    as evaluated basis diagrams' entries (`eval_diagram(d, alg).entries`),
+    in an iterable consumed once and only after the upper end is found, so
+    a generator makes a size refused there evaluate nothing.  invariant_dim is
     the dimension, so it bounds from above the exact rank of the vectors,
     their span's dimension.  Returns the dimension when the two meet, that
     is when the vectors span the invariants, and raises CertificateError

@@ -46,13 +46,6 @@ def eval_diagram(d: PlanarDiagram, alg: CrossAlgebra):
     return evaluate(planar_to_word(d), alg)
 
 
-def _eval_vector(d, alg):
-    """[k]->[0] diagram evaluation flattened to {in_index: coeff}."""
-    t = eval_diagram(d, alg)
-    assert t.n_out == 0
-    return {i: c for (_, i), c in t.entries.items()}
-
-
 # ------------------------------------------------------------------ patterns
 
 def _gon_pattern(k):
@@ -102,57 +95,41 @@ class RuleSet:
         lolly = evaluate(parse_word("tangle 0 -> 1 / cup / m"), alg)
         if not lolly.is_zero():
             raise RewriteError("lollipop does not vanish; broken algebra tables")
-        self.crossing_terms = self._derive_crossing()
+        # the switch over the [2] -> [2] basis, kept as words: the crossing
+        # expansion splices their slices into the input word
+        switch = evaluate(parse_word("tangle 2 -> 2 / x"), alg)
+        self.crossing_terms = [(planar_to_word(p), c) for p, c in _solve_terms(
+            alg, basis_diagrams(self.case, 2, 2), switch)]
         self.face_rules = {}
         for k in range(2, 6):     # bigon through pentagon
             self.face_rules[k] = self._derive_face_rule(k)
-        if self.case is not CaseTag.DIM7:
-            self.rotation_terms = self._derive_rotation()
-        else:
-            self.rotation_terms = None
-
-    def _derive_crossing(self):
-        """Express the switch as an exact combination of crossing-free words;
-        solve_exact's residual check is the verification, as for the face
-        and rotation rules."""
-        alg = self.alg
-        texts = [
-            "tangle 2 -> 2",                 # id_2
-            "tangle 2 -> 2 / cap / cup",     # pairing
-            "tangle 2 -> 2 / m / w",         # vertical tree
-            "tangle 2 -> 2 / id,w / m,id",   # rotated tree
-        ]
-        # in the 3-dim cases the rotated tree depends on the others, and
-        # solve_exact sets that free column to 0
-        words = [parse_word(t) for t in texts]
-        target = evaluate(parse_word("tangle 2 -> 2 / x"), alg)
-        return _solve_terms(words, [evaluate(w, alg).entries for w in words],
-                            target.entries)
+        self.rotation_terms = self._derive_rotation()
 
     def _derive_face_rule(self, k):
         """face of size k with k legs -> combination of basis patches."""
         alg = self.alg
         pattern = _gon_pattern(k)
         _, legs = _face_parts(pattern, pattern.internal_faces()[0])
-        target = _eval_vector(pattern, alg)
-        patches = basis_diagrams(self.case, k, 0)
-        terms = _solve_terms(patches, [_eval_vector(p, alg) for p in patches], target)
+        terms = _solve_terms(alg, basis_diagrams(self.case, k, 0),
+                             eval_diagram(pattern, alg))
         return {"order": _stub_positions(pattern, legs), "terms": terms}
 
     def _derive_rotation(self):
-        """Tree rotation: comb (01|23) -> comb (12|30) plus pairing terms.
+        """Tree rotation: comb (01|23) -> comb (12|30) plus pairing terms,
+        or None when the rotated comb t_b is itself a basis diagram (every
+        tree is, in dim7), so trees are terminal and there is no tree stage.
 
-        The tree t_a and the pairings (01|23) and (03|12) are the case's
-        basis [4] -> [0], in that order; only the rotated comb t_b is built.
-        The leg order is read off t_a by the same extraction that applies
-        the rule.
+        Otherwise the tree t_a and the pairings (01|23) and (03|12) are the
+        case's basis [4] -> [0], in that order; only t_b is built.  The leg
+        order is read off t_a by the same extraction that applies the rule.
         """
         alg = self.alg
-        t_a, p1, p2 = basis_diagrams(self.case, 4, 0)
+        basis = basis_diagrams(self.case, 4, 0)
         t_b = build_normalized(4, 0, ((1, 2, 3, 0),))
-        target = _eval_vector(t_a, alg)
-        patches = [t_b, p1, p2]
-        terms = _solve_terms(patches, [_eval_vector(p, alg) for p in patches], target)
+        if t_b.canonical_encoding() in {p.canonical_encoding() for p in basis}:
+            return None
+        t_a, p1, p2 = basis
+        terms = _solve_terms(alg, [t_b, p1, p2], eval_diagram(t_a, alg))
         # sanity: the rotated tree must participate, else cycles cannot shrink
         if not any(p is t_b for p, _ in terms):
             raise RewriteError("rotation rule degenerate")
@@ -162,10 +139,12 @@ class RuleSet:
                 "terms": terms}
 
 
-def _solve_terms(items, cols, target):
-    """The nonzero terms (item, coeff) of the exact solution of
-    sum coeff * col = target, item i standing for column i."""
-    return [(item, c) for item, c in zip(items, solve_exact(cols, target)) if c]
+def _solve_terms(alg, patches, target):
+    """The nonzero terms (patch, coeff) of the exact solution of
+    sum coeff * eval_diagram(patch) = target, a TensorMap; solve_exact's
+    residual check is the rule's verification."""
+    cols = [eval_diagram(p, alg).entries for p in patches]
+    return [(p, c) for p, c in zip(patches, solve_exact(cols, target.entries)) if c]
 
 
 _RULESETS = {}
@@ -468,11 +447,11 @@ def _find_step(d, rules):
     tree move comb_defect reads off the left-comb walk.
 
     None means d, loops aside, is a basis diagram (basis.is_basis_diagram),
-    so the engine does not test its leaves again: in dim7 d has no lollipop
-    and no internal face of five sides or fewer; in the 3-dimensional cases
-    it has no internal face and comb_defect(d) is None, which ignores
-    loops."""
-    case = rules.case
+    so the engine does not test its leaves again.  A case without a tree
+    stage (rules.rotation_terms is None: its trees are basis diagrams, as in
+    dim7) stops once d has no lollipop and no internal face of five sides or
+    fewer; the others once d has no internal face and comb_defect(d) is
+    None, which ignores loops."""
     # lollipops kill the whole term
     v = find_self_loop(d)
     if v is not None:
@@ -482,7 +461,7 @@ def _find_step(d, rules):
         verts, legs = _face_parts(d, f)
         return (f"face{len(f)}", tuple(f),
                 _apply(d, verts, legs, rules.face_rules[len(f)]))
-    if case is CaseTag.DIM7:
+    if rules.rotation_terms is None:
         return None   # faces of six or more sides are terminal, and so are trees
     if f is not None:
         # rotate an edge of the smallest face to shrink it

@@ -14,8 +14,7 @@ from tangleweb.basis import enumerate_catalan, enumerate_webs, riordan
 from tangleweb.centralizer import brauer_map, matrix_model
 from tangleweb.grassmann import super_pfaffian_check
 from tangleweb.oracle import certified_dim, derivations, invariant_dim
-from tangleweb.rewrite import (_eval_vector, _gon_pattern, eval_diagram,
-                               normalize, rules_for)
+from tangleweb.rewrite import _gon_pattern, eval_diagram, normalize, rules_for
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import (bn, cap_map, compose, cup_map, evaluate,
                               identity_map, mult_map, scalar_map, switch_map,
@@ -125,10 +124,10 @@ def test_criterion_4_square_pentagon(algebras):
     ok = True
     for k in (4, 5):
         pattern = _gon_pattern(k)
-        lhs = _eval_vector(pattern, alg)
+        lhs = eval_diagram(pattern, alg).entries
         rhs = {}
         for patch, c in rules.face_rules[k]["terms"]:
-            for key, v in _eval_vector(patch, alg).items():
+            for key, v in eval_diagram(patch, alg).entries.items():
                 w = rhs.get(key, Fraction(0)) + c * v
                 if w:
                     rhs[key] = w
@@ -198,7 +197,7 @@ def test_criterion_7_g2_dimensions(algebras):
     expected = [1, 0, 1, 1, 4, 10, 35]
     for k in range(7):
         webs = enumerate_webs(k, 0)
-        inv = certified_dim(alg, k, [_eval_vector(w, alg) for w in webs], der=der)
+        inv = certified_dim(alg, k, [eval_diagram(w, alg).entries for w in webs], der=der)
         if len(webs) != expected[k] or inv != expected[k]:
             ok = False
             print(f"  mismatch at k={k}: webs={len(webs)} inv={inv}")

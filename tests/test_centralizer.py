@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 from math import lcm
@@ -330,6 +331,17 @@ def test_budget_guard(dim7, dim3):
         structure_constants(dim7, 4)
     with pytest.raises(BudgetError):
         structure_constants(dim3, 5)
+
+
+def test_table_cell_budget_boundary(dim3, monkeypatch):
+    # one cell budget for every case, checked against len(basis) ** 2: dim3
+    # n = 4 has 91^2 = 8,281 cells
+    monkeypatch.setattr(centralizer, "MAX_TABLE_CELLS", 8280)
+    with pytest.raises(BudgetError, match="8281 cells"):
+        structure_constants(dim3, 4)
+    monkeypatch.setattr(centralizer, "MAX_TABLE_CELLS", 8281)
+    assert len(structure_constants(dim3, 4).basis) == 91
+    assert "CaseTag" not in inspect.getsource(structure_constants)
 
 
 def test_brauer_abstract_algebra():

@@ -177,13 +177,13 @@ def test_dims_refused_row_evaluates_nothing(capsys, monkeypatch):
     # none of its diagrams is evaluated for the lower end
     monkeypatch.setattr(linalg, "MAX_FILL", 50)
     sizes = []
-    real = cli._eval_vector
+    real = cli.eval_diagram
 
     def counted(d, alg):
         sizes.append(d.n_in)
         return real(d, alg)
 
-    monkeypatch.setattr(cli, "_eval_vector", counted)
+    monkeypatch.setattr(cli, "eval_diagram", counted)
     code = main(["dims", "--case", "dim3", "5"])
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error: rank elimination holds ")
@@ -296,7 +296,7 @@ def test_centralizer_over_budget_exit_2(capsys):
     code = main(["centralizer", "--case", "dim7", "4"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: 7-dimensional case budgeted to n <= 3\n"
+    assert err == "error: the table has 207025 cells, over the budget of 50000\n"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

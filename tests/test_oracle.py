@@ -10,7 +10,7 @@ from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
                               certified_dim, check_closed_under_bracket,
                               check_kills_form, derivations, equivariance_check,
                               generating_subset, invariant_dim, zero_grade)
-from tangleweb.rewrite import _eval_vector
+from tangleweb.rewrite import eval_diagram
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import (TensorMap, compose, evaluate, identity_map, tensor_product,
                               zero_map)
@@ -173,7 +173,8 @@ def test_invariant_dims_dim7_small(dim7):
 
 
 def basis_vectors(alg, n):
-    return [_eval_vector(d, alg) for d in basis_diagrams(alg.case, n, 0)]
+    return [{i: c for (_, i), c in eval_diagram(d, alg).entries.items()}
+            for d in basis_diagrams(alg.case, n, 0)]
 
 
 @pytest.mark.parametrize("case, kmax", [("dim3", 6), ("kap", 6), ("dim7", 4)])

@@ -6,7 +6,9 @@ import pytest
 
 from tangleweb import rewrite
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import BudgetError, build_normalized, comb_defect, is_basis_diagram
+from tangleweb.basis import (BudgetError, basis_diagrams, build_normalized, comb_defect,
+                             is_basis_diagram)
+from tangleweb.linalg import solve_exact
 from tangleweb.planar import VERT, circle_refs, compose_planar, planar_to_word, word_to_planar
 from tangleweb.rewrite import (RewriteTrace, eval_diagram, measure, normalize,
                                normalize_diagrams, rules_for)
@@ -83,6 +85,35 @@ def test_crossing_rule_known_forms(dim3, dim7, kap):
     assert ck["tangle 2 -> 2"] == -1
 
 
+def test_crossing_terms_match_four_word_solve(all_algebras):
+    # the switch solved against the [2] -> [2] basis gives the same diagrams
+    # with the same coefficients as solved against these four words, which
+    # are dependent in the 3-dimensional cases (solve_exact then sets the
+    # free column to 0)
+    texts = ["tangle 2 -> 2", "tangle 2 -> 2 / cap / cup",
+             "tangle 2 -> 2 / m / w", "tangle 2 -> 2 / id,w / m,id"]
+    words = [parse_word(t) for t in texts]
+    for alg in all_algebras:
+        switch = evaluate(parse_word("tangle 2 -> 2 / x"), alg)
+        coeffs = solve_exact([evaluate(w, alg).entries for w in words], switch.entries)
+        want = {word_to_planar(w).canonical_encoding(): c
+                for w, c in zip(words, coeffs) if c}
+        got = {word_to_planar(w).canonical_encoding(): c
+               for w, c in rules_for(alg).crossing_terms}
+        assert got == want, alg.case
+
+
+def test_tree_stage_read_off_the_basis(all_algebras):
+    # no tree stage exactly when the rotated comb is a basis diagram, as
+    # every tree is in dim7 and in no 3-dimensional case
+    rotated = build_normalized(4, 0, ((1, 2, 3, 0),)).canonical_encoding()
+    for alg in all_algebras:
+        basis = {d.canonical_encoding() for d in basis_diagrams(alg.case, 4, 0)}
+        no_stage = rules_for(alg).rotation_terms is None
+        assert no_stage == (rotated in basis), alg.case
+        assert no_stage == (alg.case is CaseTag.DIM7), alg.case
+
+
 def _rule_text(rules):
     """Every derived rule of a case as text: each term's word or canonical
     encoding with its coefficient, and each rule's leg order."""
@@ -99,9 +130,9 @@ def _rule_text(rules):
 
 
 @pytest.mark.parametrize("case,digest", [
-    ("dim3", "7f235ba0d233aeeeeb1cc256a4f678bd2219601e31ff7d58485ac8bcd62b66ee"),
-    ("dim7", "ec360b6db2d67fb290ac0a0fec2be744825a783ed07e8654113b226228ca2145"),
-    ("kap", "c4e7b397ce980eb952332b5a99c222d276a806ad4eee347b92d2f4269a3cf842"),
+    ("dim3", "e63a520602c7a09dd0a293aef99125825db4c6c73e5723a5bd651820e697815b"),
+    ("dim7", "d02a6897304d45dad992cada947b4e33427b12e5281164c4c10621262f4505de"),
+    ("kap", "d8be42659dd6a19309b5fc415bc4de49427d9e631f1f224df1987adb0a9a532f"),
 ])
 def test_derived_rules_pinned(all_algebras, case, digest):
     # crossing terms, face rules k = 2..5 and the rotation of each case,
@@ -132,14 +163,14 @@ def test_pentagon_rule_shape(dim7):
 
 
 def test_square_pentagon_identities_as_maps(dim7):
-    from tangleweb.rewrite import _gon_pattern, _eval_vector
+    from tangleweb.rewrite import _gon_pattern
     for k in (4, 5):
         rule = rules_for(dim7).face_rules[k]
         pattern = _gon_pattern(k)
-        lhs = _eval_vector(pattern, dim7)
+        lhs = eval_diagram(pattern, dim7).entries
         rhs = {}
         for patch, c in rule["terms"]:
-            for key, v in _eval_vector(patch, dim7).items():
+            for key, v in eval_diagram(patch, dim7).entries.items():
                 w = rhs.get(key, Fraction(0)) + c * v
                 if w:
                     rhs[key] = w
@@ -369,10 +400,10 @@ def test_crossing_words_order(dim3):
     terms = rewrite._word_terms_without_crossings(
         parse_word("tangle 3 -> 3 / x,id / id,x"), rules_for(dim3))
     assert [w.format() for w, _ in terms] == [
-        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id / id,m / id,w",
-        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id",
-        "tangle 3 -> 3 / id,id,id / id,id,id / id,m / id,w",
         "tangle 3 -> 3 / id,id,id / id,id,id",
+        "tangle 3 -> 3 / id,id,id / id,id,id / id,m / id,w",
+        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id",
+        "tangle 3 -> 3 / id,id,id / m,id / w,id / id,id,id / id,m / id,w",
     ]
 
 

@@ -170,10 +170,14 @@ def test_tables_sum_integers_in_one_expand(kap, monkeypatch):
 
 
 def test_case_facts_read_off_the_algebra():
-    # the crossing rule solves against the same four words in every case,
-    # the rotation rule reads its tree and pairings off the case's basis,
-    # and the Brauer loop value is the derived circle value, not a literal
-    assert "CaseTag" not in inspect.getsource(rewrite.RuleSet._derive_crossing)
+    # every rule solves against the case's own basis (the crossing against
+    # its [2] -> [2] diagrams), whether there is a tree stage is read off
+    # that basis, not off a case tag, the rotation rule reads its tree and
+    # pairings off the basis, and the Brauer loop value is the derived
+    # circle value, not a literal
+    src = inspect.getsource(rewrite.RuleSet)
+    assert "CaseTag" not in src and "basis_diagrams(self.case, 2, 2)" in src
+    assert "CaseTag" not in inspect.getsource(rewrite._find_step)
     src = inspect.getsource(rewrite.RuleSet._derive_rotation)
     assert src.count("build_normalized(") == 1 and "basis_diagrams(" in src
     src = inspect.getsource(centralizer.brauer_map)
