@@ -161,6 +161,16 @@ def basis_diagrams(case: CaseTag, n: int, m: int):
     return [t.diagram for t in enumerate_catalan(n, m)]
 
 
+def basis_count(case: CaseTag, n: int, m: int):
+    """len(basis_diagrams(case, n, m)) where it is known before a diagram is
+    built: riordan(n + m) for the Catalan partitions.  None for dim7, whose
+    webs are counted only by enumerating them."""
+    _check_arities(n, m)
+    if CaseTag(case) is CaseTag.DIM7:
+        return None
+    return riordan(n + m)
+
+
 # ------------------------------------------------------------------ webs
 
 def web_vertex_bound(k: int) -> int:

@@ -10,7 +10,7 @@ from functools import cache
 from itertools import chain
 
 from .algebra import CaseTag, CrossAlgebra, format_fraction
-from .basis import BudgetError, basis_diagrams
+from .basis import BudgetError, basis_count, basis_diagrams
 from .linalg import clear_denominators, sparse_rank, sparse_sum
 from .oracle import DerivationAlgebra, derivations, equivariance_check
 from .planar import compose_planar, join_ports, planar_to_word, word_to_planar
@@ -19,10 +19,12 @@ from .tangle import Generator, TangleWord, compose_tangles, identity_word
 from .tensor import compose
 
 
-# cells one structure table may hold: len(basis) ** 2, checked once the basis
-# is enumerated.  The largest table built is 91^2 = 8,281 (dim3 and kap at
-# n = 4); the next are dim7 n = 4 (455^2 = 207,025) and the 3-dimensional
-# n = 5 (603^2 = 363,609), whose build alone peaked at ~391 MB.
+# cells one structure table may hold: len(basis) ** 2, checked before the
+# basis is enumerated where basis_count knows its size (the Catalan cases)
+# and once it is enumerated otherwise (dim7).  The largest table built is
+# 91^2 = 8,281 (dim3 and kap at n = 4); the next are dim7 n = 4
+# (455^2 = 207,025) and the 3-dimensional n = 5 (603^2 = 363,609), whose
+# build alone peaked at ~391 MB.
 MAX_TABLE_CELLS = 50_000
 
 
@@ -232,6 +234,14 @@ def _split(flat, den, keys):
     return sign * d, num
 
 
+def _check_cells(nb):
+    """Refuse a table on nb basis diagrams, nb ** 2 cells, over
+    MAX_TABLE_CELLS; a count not known yet (None) passes."""
+    if nb is not None and nb * nb > MAX_TABLE_CELLS:
+        raise BudgetError(f"the table has {nb * nb} cells, over the budget of "
+                          f"{MAX_TABLE_CELLS}")
+
+
 def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     """Multiply basis diagrams by stacking and normalizing; exact.
 
@@ -265,11 +275,10 @@ def structure_constants(alg: CrossAlgebra, n: int) -> StructureTable:
     same rows on the numerators as it would on the Fractions.  The Fractions are written once, at the end, each
     cell's as its numerators are freed; equal values share one Fraction.
     """
+    _check_cells(basis_count(alg.case, n, n))
     basis = basis_diagrams(alg.case, n, n)
     nb = len(basis)
-    if nb * nb > MAX_TABLE_CELLS:
-        raise BudgetError(f"the table has {nb * nb} cells, over the budget of "
-                          f"{MAX_TABLE_CELLS}")
+    _check_cells(nb)
     st = StructureTable(alg.case, n, basis, {})
     index, table = st.index, st.table
     num, den = {}, {}       # (i, j) -> {k: int}; i -> d_i

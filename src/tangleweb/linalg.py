@@ -58,16 +58,25 @@ def sparse_rank(rows):
     so the span fills the low columns before it meets the high ones; of
     the rows with one largest column the sparsest go first, to keep the
     fill down, and the rest of their columns, read from the largest down,
-    break the ties.  The cost follows the fill, the entries the pivot rows
-    hold, rather than the matrix's size; raises BudgetError once the fill
-    exceeds MAX_FILL.
+    break the ties.  That is the order of one stable sort by
+    (max, len, columns descending), reached without a key per row: the
+    rows are bucketed by largest column, the buckets visited in ascending
+    order, and each bucket sorted by the rest of the key only when it is
+    consumed and dropped after.  The cost follows the fill, the entries
+    the pivot rows hold, rather than the matrix's size; raises BudgetError
+    once the fill exceeds MAX_FILL.
     """
-    pending = [r for r in map(clear_denominators, rows) if r]
-    pending.sort(key=lambda r: (max(r), len(r), sorted(r, reverse=True)))
+    buckets = {}
+    for r in map(clear_denominators, rows):
+        if r:
+            buckets.setdefault(max(r), []).append(r)
     span = RowSpan()
     add = span.add
-    for row in pending:
-        add(row)
+    for top in sorted(buckets):
+        bucket = buckets.pop(top)
+        bucket.sort(key=lambda r: (len(r), sorted(r, reverse=True)))
+        for row in bucket:
+            add(row)
     return len(span)
 
 

@@ -231,8 +231,10 @@ def _add_grade(g, h, sign=1):
 
 
 def _grade_classes(index, n):
-    """The input indices of V^(x)n grouped by grade, {grade: [(flat, alpha),
-    ...]} with each list in lexicographic order, and the zero grade.
+    """The flat indices of V^(x)n grouped by grade, {grade: [flat, ...]}
+    with each list ascending (lexicographic order of the index tuples),
+    and the zero grade.  Only flat indices are kept; a slot's digit is
+    read back off the flat index where it is needed (_action_rows).
 
     `index` holds the grade of each basis index (_index_grades); a tuple's
     grade is the sum of its slots' grades.  Grades are interned as small
@@ -253,8 +255,8 @@ def _grade_classes(index, n):
                 row.append(ids[s])
         level = [s for g in level for s in step[g]]
     members = [[] for _ in grades]
-    for flat, alpha in enumerate(product(range(len(index)), repeat=n)):
-        members[level[flat]].append((flat, alpha))
+    for flat, g in enumerate(level):
+        members[g].append(flat)
     return {grades[g]: m for g, m in enumerate(members) if m}, zero
 
 
@@ -262,40 +264,41 @@ def zero_grade(der: DerivationAlgebra, n: int):
     """Flat indices of the zero-grade part G0 of V^(x)n, in lexicographic
     order; every invariant lies in G0 (see _all_action_rows)."""
     classes, zero = _grade_classes(_index_grades(der), n)
-    return [flat for flat, _ in classes.get(zero, ())]
+    return classes.get(zero, [])
 
 
-def _action_rows(alg, entries, dp, n, alphas):
+def _action_rows(alg, entries, dp, n, flats):
     """Koszul-signed action on V^(x)n of a derivation of parity dp with the
-    nonzero entries {(a, b): coeff}: yields (alpha, {flat beta: coeff}) for
-    each (flat alpha, alpha) of `alphas`, flat beta being beta's position in
-    lexicographic order.
+    nonzero entries {(a, b): coeff}: yields the row {flat beta: coeff} of
+    each flat index alpha of `flats`, flat indices being positions in
+    lexicographic order.  Slot k of alpha is the digit
+    alpha // d^(n-1-k) % d.
 
     The flat index of alpha with slot k changed from alpha[k] = b to a is
-    base + d^(n-1-k) * (a - b), base being alpha's own position, so each
-    column is tabled once as (a - b, c).  No two off-diagonal entries of a
-    row share a key: offsets of one slot differ with a, and offsets of slots
-    k < k' are powers of d apart times digits 0 < |a - b| < d, which cannot
-    match.  The diagonal entries all land on base and are summed as one
-    scalar."""
+    alpha + d^(n-1-k) * (a - b), so each column is tabled once as
+    (a - b, c).  No two off-diagonal entries of a row share a key: offsets
+    of one slot differ with a, and offsets of slots k < k' are powers of d
+    apart times digits 0 < |a - b| < d, which cannot match.  The diagonal
+    entries all land on alpha and are summed as one scalar."""
     par = alg.parity
     d = alg.dim
     powers = [d ** i for i in range(n)][::-1]
     cols = [[(a - b, c) for (a, b), c in entries.items() if b == col != a] for col in range(d)]
     diag = [entries.get((b, b), 0) for b in range(d)]
-    for base, alpha in alphas:
+    for alpha in flats:
         row = {}
         total = 0
         sign = 1
-        for p, b in zip(powers, alpha):
+        for p in powers:
+            b = alpha // p % d
             total += sign * diag[b]
             for delta, c in cols[b]:
-                row[base + p * delta] = sign * c
+                row[alpha + p * delta] = sign * c
             if dp and par[b]:
                 sign = -sign
         if total:
-            row[base] = total
-        yield alpha, row
+            row[alpha] = total
+        yield row
 
 
 def action_matrix(der: DerivationAlgebra, which: int, n: int):
@@ -303,8 +306,8 @@ def action_matrix(der: DerivationAlgebra, which: int, n: int):
     TensorMap (Koszul-signed for the supercase)."""
     idx = list(product(range(der.alg.dim), repeat=n))
     rows = _action_rows(der.alg, _entries(der.mats[which]), der.parities[which],
-                        n, enumerate(idx))
-    entries = {(idx[flat], alpha): c for alpha, row in rows
+                        n, range(len(idx)))
+    entries = {(idx[flat], alpha): c for alpha, row in zip(idx, rows)
                for flat, c in row.items()}
     return TensorMap(der.alg, n, n, entries)
 
@@ -354,8 +357,8 @@ def _all_action_rows(der, n):
             for (a, b), c in scaled[i].items():
                 parts.setdefault(_add_grade(index[b], index[a], -1), {})[a, b] = c
             for delta, part in parts.items():
-                alphas = classes.get(delta, ())
-                for _, row in _action_rows(der.alg, part, dp, n, alphas):
+                flats = classes.get(delta, ())
+                for row in _action_rows(der.alg, part, dp, n, flats):
                     if row:
                         yield row
     return len(classes.get(zero, ())), rows()

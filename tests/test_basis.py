@@ -6,10 +6,10 @@ import pytest
 
 from tangleweb import basis, rewrite
 from tangleweb.algebra import CaseTag
-from tangleweb.basis import (MAX_DIAGRAMS, MAX_WEB_POINTS, BudgetError, basis_diagrams,
-                             build_normalized, enumerate_catalan, enumerate_webs,
-                             is_basis_diagram, noncrossing_partitions_min2, riordan,
-                             web_vertex_bound)
+from tangleweb.basis import (MAX_DIAGRAMS, MAX_WEB_POINTS, BudgetError, basis_count,
+                             basis_diagrams, build_normalized, enumerate_catalan,
+                             enumerate_webs, is_basis_diagram, noncrossing_partitions_min2,
+                             riordan, web_vertex_bound)
 from tangleweb.planar import PlanarError, circle_refs, open_boundary, word_to_planar
 from tangleweb.tangle import parse_word
 from tangleweb.tensor import evaluate
@@ -62,6 +62,9 @@ def test_riordan_rejects_negative():
                                  (4, 2), (5, 5)])
 def test_catalan_count_matches_riordan(n, m):
     assert len(enumerate_catalan(n, m)) == riordan(n + m)
+    # basis_count knows the Catalan count up front, and none for dim7's webs
+    assert basis_count(CaseTag.DIM3, n, m) == basis_count(CaseTag.KAP, n, m) == riordan(n + m)
+    assert basis_count(CaseTag.DIM7, n, m) is None
 
 
 def test_catalan_diagrams_valid_and_recognized(dim3, kap):

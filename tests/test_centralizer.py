@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from tangleweb import centralizer
+from tangleweb import basis, centralizer
 from tangleweb.basis import basis_diagrams, riordan
 from tangleweb.centralizer import (BudgetError, StructureTable, _closure,
                                    _local_rows, _numerators, brauer_compose,
@@ -342,6 +342,18 @@ def test_table_cell_budget_boundary(dim3, monkeypatch):
     monkeypatch.setattr(centralizer, "MAX_TABLE_CELLS", 8281)
     assert len(structure_constants(dim3, 4).basis) == 91
     assert "CaseTag" not in inspect.getsource(structure_constants)
+
+
+@pytest.mark.parametrize("case,n", [("dim3", 5), ("kap", 5), ("dim3", 7)])
+def test_catalan_tables_refused_before_enumeration(request, case, n, monkeypatch):
+    # riordan(2n) ** 2 cells is known up front, so an over-budget Catalan
+    # table is refused before a single diagram is built
+    def refuse(*args):
+        raise AssertionError("an over-budget table's basis was enumerated")
+
+    monkeypatch.setattr(basis, "enumerate_catalan", refuse)
+    with pytest.raises(BudgetError, match=f"the table has {riordan(2 * n) ** 2} cells"):
+        structure_constants(request.getfixturevalue(case), n)
 
 
 def test_brauer_abstract_algebra():

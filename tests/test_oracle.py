@@ -1,10 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from tangleweb import linalg
 from tangleweb.basis import basis_diagrams, riordan
-from tangleweb.linalg import sparse_rank
+from tangleweb.linalg import clear_denominators, sparse_rank
 from tangleweb.oracle import (BudgetError, CertificateError, DerivationAlgebra,
                               _all_action_rows, _entries, action_matrix, bracket,
                               certified_dim, check_closed_under_bracket,
@@ -272,6 +274,50 @@ def test_zero_grade_counts_match_closed_forms(dim3, dim7, kap):
     assert counts["kap"] == [sum(comb(k, 2 * j) * comb(2 * j, j) for j in range(k // 2 + 1))
                              for k in range(8)]
     assert (counts["dim7"][5], counts["dim3"][7], counts["kap"][7]) == (2100, 546, 393)
+
+
+@pytest.mark.parametrize("case, n, want", [("dim3", 7, 36), ("dim7", 4, 4)])
+def test_rank_adds_rows_in_one_global_sort_order(request, case, n, want, monkeypatch):
+    # sparse_rank's buckets by largest column feed RowSpan exactly the rows,
+    # in exactly the order, of one stable sort of every primitive row by
+    # (max, len, columns descending)
+    alg = request.getfixturevalue(case)
+    der = derivations(alg)
+    seen = []
+
+    class Spy(linalg.RowSpan):
+        __slots__ = ()
+
+        def add(self, row):
+            seen.append(dict(row))
+            return super().add(row)
+
+    monkeypatch.setattr(linalg, "RowSpan", Spy)
+    assert invariant_dim(alg, n, der=der) == want
+    rows = [r for r in map(clear_denominators, _all_action_rows(der, n)[1]) if r]
+    rows.sort(key=lambda r: (max(r), len(r), sorted(r, reverse=True)))
+    assert len(seen) == len(rows) > 100
+    assert seen == rows
+
+
+def test_invariant_dim_peak_memory(dim7):
+    # the rank holds flat indices, not (flat, alpha) tuples, and rows in
+    # buckets by largest column, not beside a sort key each: dim7 at n = 5
+    # peaked at 6.2 MB under tracemalloc with those, and at 4.1 MB without
+    der = derivations(dim7)
+    generating_subset(der)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert invariant_dim(dim7, 5, der=der) == 10
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 4.5e6, peak
 
 
 def test_certificate_refuses_a_missing_web(dim7):
